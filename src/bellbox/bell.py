@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .tables import Experiment, SettingPair, expectation_value, marginal_law_report
+from .tables import (
+    PAIR_ORDER,
+    Experiment,
+    SettingPair,
+    expectation_value,
+    marginal_law_report,
+)
 
 
 @dataclass(frozen=True)
@@ -50,23 +56,14 @@ CHSH_TERM_ORDER = (
     SettingPair.AB,
 )
 
-#: Signs of the reference combination (minus on AB).
+#: Signs of the reference combination (minus on AB): the one statement of
+#: the CHSH sign convention, shared by :func:`chsh` and the Bell operator.
 REFERENCE_SIGNS: Mapping[SettingPair, int] = {
     SettingPair.A_PRIME_B_PRIME: +1,
     SettingPair.A_PRIME_B: +1,
     SettingPair.AB_PRIME: +1,
     SettingPair.AB: -1,
 }
-
-# Variant enumeration: the single minus sign cycles over the four terms,
-# reference pattern first; a global sign flip never changes the absolute
-# value, so each pattern is scored by |sum|.
-_MINUS_POSITIONS = (
-    SettingPair.AB,
-    SettingPair.AB_PRIME,
-    SettingPair.A_PRIME_B,
-    SettingPair.A_PRIME_B_PRIME,
-)
 
 
 class ZooClass(Enum):
@@ -106,14 +103,22 @@ class ChshResult:
 
 
 def chsh(experiment: Experiment) -> ChshResult:
-    values = {pair: expectation_value(experiment.table(pair)) for pair in CHSH_TERM_ORDER}
-    reference = sum(REFERENCE_SIGNS[pair] * values[pair] for pair in CHSH_TERM_ORDER)
+    """CHSH value of ``experiment``.
 
+    The single minus sign cycles over the four terms in ``PAIR_ORDER``; the
+    pattern equal to :data:`REFERENCE_SIGNS` (the first, minus on AB) gives
+    the reference combination.  A global sign flip never changes the
+    absolute value, so each pattern is scored by |sum|.
+    """
+    values = {pair: expectation_value(experiment.table(pair)) for pair in CHSH_TERM_ORDER}
+    reference = 0.0
     best_abs = -1.0
     best_signs: dict[SettingPair, int] = {}
-    for minus_on in _MINUS_POSITIONS:
+    for minus_on in PAIR_ORDER:
         signs = {pair: (-1 if pair is minus_on else 1) for pair in CHSH_TERM_ORDER}
         total = sum(signs[pair] * values[pair] for pair in CHSH_TERM_ORDER)
+        if signs == REFERENCE_SIGNS:
+            reference = total
         if abs(total) > best_abs:
             best_abs = abs(total)
             if total < 0:  # fold in the global flip so the pattern scores +|total|
@@ -126,20 +131,24 @@ def chsh(experiment: Experiment) -> ChshResult:
     )
 
 
-def classify(experiment: Experiment, tol: float = 1e-6) -> ZooClass:
-    """Classify an experiment by CHSH strength and marginal-law status.
+def decide_class(chsh_max: float, marginals_hold: bool, tol: float) -> ZooClass:
+    """The Zoo class of a CHSH maximum and a marginal-law verdict.
 
     Raises :class:`AmbiguousClassError` for the unnamed corner (violation
     beyond Tsirelson with intact marginals).
     """
-    s = chsh(experiment).max_abs_over_variants
-    marginals_hold = marginal_law_report(experiment, tol).holds
-    if s <= BOUNDS.classical + tol:
+    if chsh_max <= BOUNDS.classical + tol:
         return ZooClass.KOLMOGOROVIAN_COMPATIBLE
     if marginals_hold:
-        if s <= BOUNDS.tsirelson + tol:
+        if chsh_max <= BOUNDS.tsirelson + tol:
             return ZooClass.NONLOCAL_BOX
-        raise AmbiguousClassError(s, tol)
-    if s <= BOUNDS.tsirelson + tol:
+        raise AmbiguousClassError(chsh_max, tol)
+    if chsh_max <= BOUNDS.tsirelson + tol:
         return ZooClass.NONLOCAL_NON_MARGINAL_BOX_1
     return ZooClass.NONLOCAL_NON_MARGINAL_BOX_2
+
+
+def classify(experiment: Experiment, tol: float = 1e-6) -> ZooClass:
+    """Classify an experiment by CHSH strength and marginal-law status."""
+    s = chsh(experiment).max_abs_over_variants
+    return decide_class(s, marginal_law_report(experiment, tol).holds, tol)

@@ -21,12 +21,7 @@ from typing import Sequence
 
 from .expfile import ExperimentFileError, read_experiment, write_experiment
 from .hilbert import isomorphism_by_name
-from .models import (
-    FIXTURE_NAMES,
-    MODEL_COMMAND_NAMES,
-    get_fixture,
-    get_model,
-)
+from .models import REGISTRY, get_fixture, get_model
 from .report import ModelReport, Report, build_report, render_machine, render_text
 from .tables import DEFAULT_NORM_TOL, TableError
 
@@ -75,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser(
         "model", parents=[common], help="build and verify a named construction"
     )
-    p_model.add_argument("name", choices=MODEL_COMMAND_NAMES)
+    p_model.add_argument("name", choices=tuple(REGISTRY))
     p_model.add_argument("--alpha", type=float, default=0.0, help="first phase (rad)")
     p_model.add_argument("--beta", type=float, default=0.0, help="second phase (rad)")
     p_model.add_argument(
@@ -94,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser(
         "export", parents=[common], help="write a built-in dataset to a file"
     )
-    p_export.add_argument("name", choices=FIXTURE_NAMES)
+    p_export.add_argument(
+        "name", choices=tuple(n for n, (data, _) in REGISTRY.items() if data is not None)
+    )
     p_export.add_argument("file", help="destination path")
 
     return parser
@@ -118,10 +115,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    if args.name == "vessels-separated":
-        # data-only entry: there is no construction to verify
-        fixture = get_fixture("vessels-separated")
-        _emit(build_report(fixture.experiment), args.format)
+    if REGISTRY[args.name][1] is None:
+        # a dataset without a construction gets the data-only report
+        _emit(build_report(get_fixture(args.name).experiment), args.format)
         return 0
     model = get_model(args.name, args.alpha, args.beta)
     fixture = get_fixture(model.fixture_name)

@@ -45,6 +45,37 @@ def _fail(path: str | Path, where: str, problem: str) -> "ExperimentFileError":
     return ExperimentFileError(f"{path}: {where}: {problem}")
 
 
+class _RepeatedKeys(dict):
+    """A parsed JSON object in which ``key`` appears more than once."""
+
+    key: str
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """JSON object hook that marks an object whose keys repeat."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    keys = [key for key, _value in pairs]
+    repeated = _RepeatedKeys(obj)
+    repeated.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return repeated
+
+
+def _find_repeated(node: dict | list, where: str) -> tuple[str, str] | None:
+    """Field path and key of the first object in ``node`` (a JSON object or
+    array) that repeats a key; paths are dotted, as in ``tables.AB``."""
+    if isinstance(node, _RepeatedKeys):
+        return where, node.key
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (dict, list)):
+            field = key if where == "document" else f"{where}.{key}"
+            found = _find_repeated(child, field)
+            if found is not None:
+                return found
+    return None
+
+
 def write_experiment(
     path: str | Path,
     experiment: Experiment,
@@ -81,25 +112,30 @@ def read_experiment(
     except OSError as exc:
         raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise _fail(path, f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
 
     if not isinstance(doc, dict):
         raise _fail(path, "document", "top level must be a JSON object")
+    repeated = _find_repeated(doc, "document")
+    if repeated is not None:
+        where, key = repeated
+        raise _fail(path, where, f"duplicate key {key!r}")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise _fail(path, "version", f"expected {FORMAT_VERSION}, got {version!r}")
 
     sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
-    if (
-        not isinstance(sides, dict)
-        or set(sides) != {"first", "second"}
-        or any(
-            not (isinstance(sides[k], list) and len(sides[k]) == 2) for k in sides
-        )
-    ):
+    if not isinstance(sides, dict) or set(sides) != {"first", "second"}:
         raise _fail(path, "sides", "expected {'first': [x, x'], 'second': [y, y']}")
+    for side, labels in sides.items():
+        if not (
+            isinstance(labels, list)
+            and len(labels) == 2
+            and all(isinstance(label, str) for label in labels)
+        ):
+            raise _fail(path, f"sides.{side}", f"expected two string labels: {labels!r}")
 
     settings = doc.get("settings")
     expected_settings = [pair.label for pair in PAIR_ORDER]
@@ -144,9 +180,6 @@ def read_experiment(
 
     experiment = Experiment.from_tables(
         tables,
-        sides=(
-            (str(sides["first"][0]), str(sides["first"][1])),
-            (str(sides["second"][0]), str(sides["second"][1])),
-        ),
+        sides=(tuple(sides["first"]), tuple(sides["second"])),
     )
     return experiment, metadata

@@ -24,10 +24,10 @@ from .linalg import (
     expectation,
     hermiticity_residual,
     inner,
-    outer,
     quadratic_form,
 )
-from .tables import Experiment, JointTable, PAIR_ORDER, SettingPair
+from .bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
+from .tables import Experiment, JointTable, PAIR_ORDER, SettingPair, expectation_value
 
 #: Orthonormality tolerance for measurement bases and unit states.
 ORTHONORMAL_TOL = 1e-9
@@ -134,29 +134,24 @@ def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTabl
 
 def operator_from_measurement(measurement: Measurement) -> CMatrix:
     """Self-adjoint operator in spectral form, sum of outcome * |f><f|."""
-    total = CMatrix.zero()
-    for value, state in zip(measurement.outcomes, measurement.final_states):
-        total = total + outer(state, state).scaled(value)
-    return total
-
-
-def bell_operator(
-    e_ab_prime: CMatrix,
-    e_a_prime_b: CMatrix,
-    e_ab: CMatrix,
-    e_a_prime_b_prime: CMatrix,
-) -> CMatrix:
-    """The combination E_A'B' + E_A'B + E_AB' - E_AB."""
-    return e_a_prime_b_prime + e_a_prime_b + e_ab_prime - e_ab
-
-
-def bell_operator_from(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
-    return bell_operator(
-        e_ab_prime=operators[SettingPair.AB_PRIME],
-        e_a_prime_b=operators[SettingPair.A_PRIME_B],
-        e_ab=operators[SettingPair.AB],
-        e_a_prime_b_prime=operators[SettingPair.A_PRIME_B_PRIME],
+    terms = tuple(zip(measurement.outcomes, measurement.final_states))
+    axis = range(DIM)
+    return CMatrix(
+        [
+            [sum((x * (f[i] * f[j].conjugate()) for x, f in terms), 0j) for j in axis]
+            for i in axis
+        ]
     )
+
+
+def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
+    """The CHSH combination of ``operators`` with the signs of
+    :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB."""
+    total = CMatrix.zero()
+    for pair in CHSH_TERM_ORDER:
+        term = operators[pair]
+        total = total + term if REFERENCE_SIGNS[pair] > 0 else total - term
+    return total
 
 
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -269,73 +264,51 @@ class ModelVerdict:
 
 def verify_model(
     state: StateVector,
-    measurements: Mapping[SettingPair, Measurement],
+    measurements: Mapping[SettingPair, Measurement] | None,
     data: Experiment,
     tol: float,
     iso: Isomorphism = CANONICAL_ISO,
     product_tol: float = DEFAULT_TOL,
+    operators: Mapping[SettingPair, CMatrix] | None = None,
 ) -> ModelVerdict:
-    """Check a basis-backed model: Born probabilities against the data
-    tables, entanglement flags, and the model's CHSH value."""
+    """Check a construction against the data tables.
+
+    Every model is checked through its operators (built from
+    ``measurements`` when not given): Hermiticity residuals and the
+    model's CHSH value.  A model with ``measurements`` compares Born
+    probabilities with the tables and flags entangled final states; a
+    model known only through ``operators`` compares expectation values
+    <s|E|s> with the tables' and flags operators that are not products.
+    Entanglement of measurements and operators is decided at
+    ``product_tol``, of the state at :data:`DEFAULT_TOL`.
+    """
+    if operators is None:
+        operators = {p: operator_from_measurement(measurements[p]) for p in PAIR_ORDER}
     residuals = {}
     entangled = {}
-    herm = {}
-    operators = {}
     for pair in PAIR_ORDER:
-        m = measurements[pair]
-        predicted = born_probabilities(state, m)
         observed = data.table(pair)
-        residuals[pair] = max(
-            abs(p - o) for p, o in zip(predicted.values, observed.values)
-        )
-        entangled[pair] = is_entangled_measurement(m, iso, product_tol)
-        op = operator_from_measurement(m)
-        operators[pair] = op
-        herm[pair] = hermiticity_residual(op)
-    bell_op = bell_operator_from(operators)
-    bell_value = quadratic_form(bell_op, state.vector)
+        if measurements is not None:
+            m = measurements[pair]
+            predicted = born_probabilities(state, m)
+            residuals[pair] = max(
+                abs(p - o) for p, o in zip(predicted.values, observed.values)
+            )
+            entangled[pair] = is_entangled_measurement(m, iso, product_tol)
+        else:
+            residuals[pair] = abs(
+                expectation(operators[pair], state.vector) - expectation_value(observed)
+            )
+            entangled[pair] = not is_product_operator(operators[pair], iso, product_tol)
+    bell_value = quadratic_form(bell_operator(operators), state.vector)
     return ModelVerdict(
-        residual_kind="probabilities",
-        residuals=residuals,
-        measurement_entangled=entangled,
-        state_entangled=not is_product_vector(state, iso, product_tol),
-        hermiticity_residuals=herm,
-        chsh_from_model=bell_value.real,
-        chsh_imag_residual=abs(bell_value.imag),
-        tolerance=tol,
-        passed=all(r <= tol for r in residuals.values()),
-    )
-
-
-def verify_operator_model(
-    state: StateVector,
-    operators: Mapping[SettingPair, CMatrix],
-    data: Experiment,
-    tol: float,
-    iso: Isomorphism = CANONICAL_ISO,
-    product_tol: float = DEFAULT_TOL,
-) -> ModelVerdict:
-    """Check an operator-backed model: expectation values <s|E|s> against
-    the data expectations E = p11 - p12 - p21 + p22 per setting pair."""
-    residuals = {}
-    entangled = {}
-    herm = {}
-    for pair in PAIR_ORDER:
-        op = operators[pair]
-        observed = data.table(pair)
-        data_expectation = (
-            observed.p11 - observed.p12 - observed.p21 + observed.p22
-        )
-        residuals[pair] = abs(expectation(op, state.vector) - data_expectation)
-        entangled[pair] = not is_product_operator(op, iso, product_tol)
-        herm[pair] = hermiticity_residual(op)
-    bell_value = quadratic_form(bell_operator_from(operators), state.vector)
-    return ModelVerdict(
-        residual_kind="expectations",
+        residual_kind="probabilities" if measurements is not None else "expectations",
         residuals=residuals,
         measurement_entangled=entangled,
         state_entangled=not is_product_vector(state, iso, DEFAULT_TOL),
-        hermiticity_residuals=herm,
+        hermiticity_residuals={
+            pair: hermiticity_residual(operators[pair]) for pair in PAIR_ORDER
+        },
         chsh_from_model=bell_value.real,
         chsh_imag_residual=abs(bell_value.imag),
         tolerance=tol,

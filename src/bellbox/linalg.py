@@ -125,9 +125,6 @@ class CMatrix:
             ]
         )
 
-    def __neg__(self) -> CMatrix:
-        return self.scaled(-1)
-
 
 def inner(u: CVector, v: CVector) -> complex:
     """Hermitian inner product <u|v>, conjugating the first argument."""

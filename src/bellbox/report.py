@@ -19,7 +19,7 @@ from .bell import (
     ChshResult,
     ZooClass,
     chsh,
-    classify,
+    decide_class,
 )
 from .hilbert import Isomorphism, ModelVerdict
 from .tables import (
@@ -70,16 +70,21 @@ def build_report(
     expectations = {
         pair: expectation_value(experiment.table(pair)) for pair in PAIR_ORDER
     }
+    chsh_result = chsh(experiment)
+    marginal_law = marginal_law_report(experiment, class_tol)
     zoo_class: ZooClass | None
     zoo_error: str | None
     try:
-        zoo_class, zoo_error = classify(experiment, class_tol), None
+        zoo_class = decide_class(
+            chsh_result.max_abs_over_variants, marginal_law.holds, class_tol
+        )
+        zoo_error = None
     except AmbiguousClassError as exc:
         zoo_class, zoo_error = None, str(exc)
     return Report(
         expectations=expectations,
-        chsh=chsh(experiment),
-        marginal_law=marginal_law_report(experiment, class_tol),
+        chsh=chsh_result,
+        marginal_law=marginal_law,
         factorization={
             pair: factorization_test(experiment.table(pair), factorization_tol)
             for pair in PAIR_ORDER

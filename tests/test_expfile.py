@@ -134,3 +134,20 @@ def test_custom_side_labels_pass_through(tmp_path):
     doc["sides"] = {"first": ["siphon", "spoon"], "second": ["siphon", "spoon"]}
     experiment, _ = read_experiment(_write(tmp_path, doc))
     assert experiment.sides[0] == ("siphon", "spoon")
+
+
+def test_duplicate_outcome_key_rejected(tmp_path):
+    text = json.dumps(_valid_doc(), indent=2).replace(
+        '"A1B1": "0.25",', '"A1B1": "0.25",\n      "A1B1": "0.25",', 1
+    )
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ExperimentFileError, match=r"tables\.AB: duplicate key 'A1B1'"):
+        read_experiment(path)
+
+
+def test_non_string_side_label_rejected(tmp_path):
+    doc = _valid_doc()
+    doc["sides"]["first"] = ["X", 7]
+    with pytest.raises(ExperimentFileError, match=r"sides\.first"):
+        read_experiment(_write(tmp_path, doc))

@@ -11,7 +11,6 @@ from bellbox.hilbert import (
     Measurement,
     StateVector,
     bell_operator,
-    bell_operator_from,
     born_probabilities,
     is_entangled_measurement,
     is_product_operator,
@@ -181,7 +180,7 @@ class TestBellOperator:
     def test_vessel_middle_block(self):
         alpha, beta = 0.7, -0.3
         model = vessels_model(alpha, beta)
-        bell = bell_operator_from(model.operators)
+        bell = bell_operator(model.operators)
         phase = cmath.exp(1j * (alpha - beta))
         assert abs(bell[1][1] - 2) <= 1e-12
         assert abs(bell[2][2] - 2) <= 1e-12
@@ -194,11 +193,11 @@ class TestBellOperator:
 
     def test_zero_inputs(self):
         z = CMatrix.zero()
-        assert bell_operator(z, z, z, z) == z
+        assert bell_operator({pair: z for pair in SettingPair}) == z
 
     def test_alternative_model_combination_expectation(self):
         model = vessels_alternative_model(alpha=0.2, beta=1.9)
-        bell = bell_operator_from(model.operators)
+        bell = bell_operator(model.operators)
         assert abs(expectation(bell, model.state.vector) - 4.0) <= 1e-12
 
     def test_argument_order(self):
@@ -208,7 +207,12 @@ class TestBellOperator:
         apb = CMatrix.diagonal([0, 0, 1, 0])
         apbp = CMatrix.diagonal([0, 0, 0, 1])
         combo = bell_operator(
-            e_ab_prime=abp, e_a_prime_b=apb, e_ab=ab, e_a_prime_b_prime=apbp
+            {
+                SettingPair.AB_PRIME: abp,
+                SettingPair.A_PRIME_B: apb,
+                SettingPair.AB: ab,
+                SettingPair.A_PRIME_B_PRIME: apbp,
+            }
         )
         assert combo == CMatrix.diagonal([-1, 1, 1, 1])
 
@@ -329,7 +333,7 @@ class TestProductOperator:
             assert (max_minor_2x2(r) <= 1e-9) == (np_second_singular_value(r) <= 1e-9)
 
     def test_vessel_bell_operator_not_product(self):
-        bell = bell_operator_from(vessels_model(0.3, 0.8).operators)
+        bell = bell_operator(vessels_model(0.3, 0.8).operators)
         assert not is_product_operator(bell)
 
     def test_quoted_survey_operators_not_product(self):

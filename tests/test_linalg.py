@@ -18,7 +18,7 @@ from bellbox.linalg import (
     quadratic_form,
 )
 from bellbox.models import ANIMAL_ACTS_OPERATORS, vessels_model
-from bellbox.hilbert import bell_operator_from
+from bellbox.hilbert import bell_operator
 from bellbox.tables import SettingPair
 
 from oracles import random_unit_cvector
@@ -91,7 +91,7 @@ class TestApply:
         # the combination operator acts as multiplication by 4 on the
         # model state (checked against plain scalar arithmetic)
         model = vessels_model(alpha=0.9, beta=-0.4)
-        bell = bell_operator_from(model.operators)
+        bell = bell_operator(model.operators)
         state = model.state.vector
         image = apply(bell, state)
         for got, want in zip(image, state.scaled(4.0)):
@@ -141,7 +141,7 @@ class TestExpectation:
 
     def test_bell_operator_in_vessel_state(self):
         model = vessels_model(alpha=0.25, beta=1.5)
-        bell = bell_operator_from(model.operators)
+        bell = bell_operator(model.operators)
         assert abs(expectation(bell, model.state.vector) - 4.0) < 1e-12
 
     def test_diagonal_superposition(self):
