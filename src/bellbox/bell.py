@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Mapping
 
 from .tables import (
+    CLASS_TOL,
     PAIR_ORDER,
     Experiment,
     SettingPair,
@@ -90,13 +91,14 @@ class AmbiguousClassError(ValueError):
 class ChshResult:
     """CHSH value of an experiment.
 
-    ``reference_combination`` is the reference combination
-    E(A',B') + E(A',B) + E(A,B') - E(A,B); ``max_abs_over_variants`` is the
-    largest absolute value over the eight sign patterns that place a single
-    minus on one term (up to a global flip), with ``variant_signs`` the
-    achieving pattern.
+    ``expectations`` maps each setting pair to its correlation E;
+    ``reference_combination`` is E(A',B') + E(A',B) + E(A,B') - E(A,B);
+    ``max_abs_over_variants`` is the largest absolute value over the eight
+    sign patterns that place a single minus on one term (up to a global
+    flip), with ``variant_signs`` the achieving pattern.
     """
 
+    expectations: Mapping[SettingPair, float]
     reference_combination: float
     max_abs_over_variants: float
     variant_signs: Mapping[SettingPair, int]
@@ -125,30 +127,31 @@ def chsh(experiment: Experiment) -> ChshResult:
                 signs = {pair: -s for pair, s in signs.items()}
             best_signs = signs
     return ChshResult(
+        expectations=values,
         reference_combination=reference,
         max_abs_over_variants=best_abs,
         variant_signs=best_signs,
     )
 
 
-def decide_class(chsh_max: float, marginals_hold: bool, tol: float) -> ZooClass:
+def decide_class(chsh_max: float, marginals_hold: bool) -> ZooClass:
     """The Zoo class of a CHSH maximum and a marginal-law verdict.
 
     Raises :class:`AmbiguousClassError` for the unnamed corner (violation
     beyond Tsirelson with intact marginals).
     """
-    if chsh_max <= BOUNDS.classical + tol:
+    if chsh_max <= BOUNDS.classical + CLASS_TOL:
         return ZooClass.KOLMOGOROVIAN_COMPATIBLE
     if marginals_hold:
-        if chsh_max <= BOUNDS.tsirelson + tol:
+        if chsh_max <= BOUNDS.tsirelson + CLASS_TOL:
             return ZooClass.NONLOCAL_BOX
-        raise AmbiguousClassError(chsh_max, tol)
-    if chsh_max <= BOUNDS.tsirelson + tol:
+        raise AmbiguousClassError(chsh_max, CLASS_TOL)
+    if chsh_max <= BOUNDS.tsirelson + CLASS_TOL:
         return ZooClass.NONLOCAL_NON_MARGINAL_BOX_1
     return ZooClass.NONLOCAL_NON_MARGINAL_BOX_2
 
 
-def classify(experiment: Experiment, tol: float = 1e-6) -> ZooClass:
+def classify(experiment: Experiment) -> ZooClass:
     """Classify an experiment by CHSH strength and marginal-law status."""
     s = chsh(experiment).max_abs_over_variants
-    return decide_class(s, marginal_law_report(experiment, tol).holds, tol)
+    return decide_class(s, marginal_law_report(experiment).holds)

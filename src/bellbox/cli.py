@@ -10,20 +10,39 @@ Shared flags (valid on every verb): ``--format text|machine`` and
 ``--normalize-tol``.  Exit status: ``analyze`` returns 0 for any
 completed analysis whatever the verdicts; ``model`` additionally returns
 1 when the construction fails verification; unreadable or invalid files
-give 1, usage errors 2.
+give 1, usage errors 2 (among them a phase that is not finite and a
+tolerance that is not a finite number >= 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
 from .expfile import ExperimentFileError, read_experiment, write_experiment
-from .hilbert import isomorphism_by_name
+from .hilbert import ISOMORPHISMS, isomorphism_by_name
 from .models import REGISTRY, get_fixture, get_model
 from .report import ModelReport, Report, build_report, render_machine, render_text
 from .tables import DEFAULT_NORM_TOL, TableError
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
@@ -38,18 +57,12 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
     parser.add_argument(
         "--normalize-tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_NORM_TOL if top_level else argparse.SUPPRESS,
         metavar="R",
         help="accepted |sum - 1| before rescaling probabilities "
         f"(default: {DEFAULT_NORM_TOL})",
     )
-
-
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_shared_flags(common, top_level=False)
-    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         "built-in Hilbert-space constructions.",
     )
     _add_shared_flags(parser, top_level=True)
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)
+    _add_shared_flags(common, top_level=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser(
@@ -71,17 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
         "model", parents=[common], help="build and verify a named construction"
     )
     p_model.add_argument("name", choices=tuple(REGISTRY))
-    p_model.add_argument("--alpha", type=float, default=0.0, help="first phase (rad)")
-    p_model.add_argument("--beta", type=float, default=0.0, help="second phase (rad)")
+    p_model.add_argument("--alpha", type=_finite, default=0.0, help="first phase (rad)")
+    p_model.add_argument("--beta", type=_finite, default=0.0, help="second phase (rad)")
     p_model.add_argument(
         "--iso",
-        choices=("canonical", "swapped"),
+        choices=tuple(ISOMORPHISMS),
         default="canonical",
         help="tensor-product identification used for entanglement flags",
     )
     p_model.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="verification tolerance (default: the model's own)",
     )

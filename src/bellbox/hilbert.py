@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .linalg import (
-    DEFAULT_TOL,
     DIM,
     CMatrix,
     CVector,
@@ -27,10 +26,9 @@ from .linalg import (
     quadratic_form,
 )
 from .bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
-from .tables import Experiment, JointTable, PAIR_ORDER, SettingPair, expectation_value
-
-#: Orthonormality tolerance for measurement bases and unit states.
-ORTHONORMAL_TOL = 1e-9
+from .tables import (
+    EXACT_TOL, PAIR_ORDER, Experiment, JointTable, SettingPair, expectation_value
+)
 
 #: Conventional outcome values for a coincidence measurement: +1 on the
 #: "same outcome" cells 11/22, -1 on the "opposite" cells 12/21.
@@ -69,15 +67,14 @@ def isomorphism_by_name(name: str) -> Isomorphism:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit vector in C^4."""
+    """A unit vector in C^4 (norm 1 within :data:`tables.EXACT_TOL`)."""
 
     vector: CVector
-    norm_tol: float = ORTHONORMAL_TOL
 
     def __post_init__(self) -> None:
         n = self.vector.norm()
-        if abs(n - 1.0) > self.norm_tol:
-            raise ValueError(f"state norm {n!r} is not 1 within {self.norm_tol}")
+        if abs(n - 1.0) > EXACT_TOL:
+            raise ValueError(f"state norm {n!r} is not 1 within {EXACT_TOL}")
 
     @classmethod
     def of(cls, amplitudes: Sequence[object], normalize: bool = False) -> "StateVector":
@@ -118,7 +115,7 @@ class Measurement:
             for j in range(i, 4):
                 overlap = abs(inner(self.final_states[i], self.final_states[j]))
                 want = 1.0 if i == j else 0.0
-                if abs(overlap - want) > ORTHONORMAL_TOL:
+                if abs(overlap - want) > EXACT_TOL:
                     raise ValueError(
                         f"final states {self.labels[i]},{self.labels[j]} are not "
                         f"orthonormal: |<i|j>| = {overlap!r}"
@@ -188,7 +185,7 @@ def schmidt_coefficients(
 
 
 def is_product_vector(
-    v: VectorLike, iso: Isomorphism = CANONICAL_ISO, tol: float = DEFAULT_TOL
+    v: VectorLike, iso: Isomorphism = CANONICAL_ISO, tol: float = EXACT_TOL
 ) -> bool:
     """True when the vector is a tensor product under ``iso`` (the reshaped
     2x2 array has vanishing determinant)."""
@@ -221,7 +218,7 @@ def max_minor_2x2(m: CMatrix) -> float:
 
 
 def is_product_operator(
-    m: CMatrix, iso: Isomorphism = CANONICAL_ISO, tol: float = DEFAULT_TOL
+    m: CMatrix, iso: Isomorphism = CANONICAL_ISO, tol: float = EXACT_TOL
 ) -> bool:
     """True when ``m`` equals some A (x) B under ``iso``: every 2x2 minor
     of the realignment vanishes within ``tol``."""
@@ -231,7 +228,7 @@ def is_product_operator(
 def is_entangled_measurement(
     measurement: Measurement,
     iso: Isomorphism = CANONICAL_ISO,
-    tol: float = DEFAULT_TOL,
+    tol: float = EXACT_TOL,
 ) -> bool:
     """A measurement is entangled when at least one final state is not a
     product vector under ``iso``."""
@@ -268,7 +265,7 @@ def verify_model(
     data: Experiment,
     tol: float,
     iso: Isomorphism = CANONICAL_ISO,
-    product_tol: float = DEFAULT_TOL,
+    product_tol: float = EXACT_TOL,
     operators: Mapping[SettingPair, CMatrix] | None = None,
 ) -> ModelVerdict:
     """Check a construction against the data tables.
@@ -280,7 +277,7 @@ def verify_model(
     model known only through ``operators`` compares expectation values
     <s|E|s> with the tables' and flags operators that are not products.
     Entanglement of measurements and operators is decided at
-    ``product_tol``, of the state at :data:`DEFAULT_TOL`.
+    ``product_tol``, of the state at :data:`tables.EXACT_TOL`.
     """
     if operators is None:
         operators = {p: operator_from_measurement(measurements[p]) for p in PAIR_ORDER}
@@ -305,7 +302,7 @@ def verify_model(
         residual_kind="probabilities" if measurements is not None else "expectations",
         residuals=residuals,
         measurement_entangled=entangled,
-        state_entangled=not is_product_vector(state, iso, DEFAULT_TOL),
+        state_entangled=not is_product_vector(state, iso),
         hermiticity_residuals={
             pair: hermiticity_residual(operators[pair]) for pair in PAIR_ORDER
         },

@@ -15,9 +15,6 @@ from typing import Iterable, Sequence
 
 DIM = 4
 
-#: Tolerance for checks that should hold to machine precision.
-DEFAULT_TOL = 1e-9
-
 
 def _checked_complex(value: object) -> complex:
     z = complex(value)  # type: ignore[arg-type]
@@ -157,7 +154,7 @@ def hermiticity_residual(m: CMatrix) -> float:
     )
 
 
-def is_hermitian(m: CMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m: CMatrix, tol: float) -> bool:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return hermiticity_residual(m) <= tol

@@ -36,8 +36,8 @@ from .hilbert import (
     operator_from_measurement,
     verify_model,
 )
-from .linalg import CANONICAL_BASIS, DEFAULT_TOL, CMatrix, CVector, inner
-from .tables import Experiment, JointTable, SettingPair, normalize
+from .linalg import CANONICAL_BASIS, CMatrix, CVector, inner
+from .tables import ENTRY_EPS, EXACT_TOL, Experiment, JointTable, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
 #: only known to three decimals.
@@ -48,7 +48,7 @@ ROUNDED_OPERATOR_TOL = 5e-2
 ANIMAL_ACTS_MODEL_TOL = 0.03
 
 #: Verification tolerance for the exact vessel constructions.
-EXACT_MODEL_TOL = 1e-9
+EXACT_MODEL_TOL = EXACT_TOL
 
 
 class InvalidTargetsError(ValueError):
@@ -86,7 +86,7 @@ class NamedModel:
     provenance: str
     fixture_name: str
     tolerance: float
-    product_tol: float = DEFAULT_TOL
+    product_tol: float = EXACT_TOL
 
     def verify(
         self,
@@ -356,9 +356,9 @@ def basis_from_probabilities(
         raise InvalidTargetsError(f"expected 4 target probabilities, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise InvalidTargetsError(f"target probabilities must be finite: {vals}")
-    if any(v < -1e-12 for v in vals):
+    if any(v < -ENTRY_EPS for v in vals):
         raise InvalidTargetsError(f"target probabilities must be nonnegative: {vals}")
-    if abs(sum(vals) - 1.0) > 1e-9:
+    if abs(sum(vals) - 1.0) > EXACT_TOL:
         raise InvalidTargetsError(f"target probabilities sum to {sum(vals)!r}, not 1")
 
     s = state.vector

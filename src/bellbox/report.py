@@ -28,7 +28,6 @@ from .tables import (
     MarginalLawReport,
     PAIR_ORDER,
     SettingPair,
-    expectation_value,
     factorization_test,
     marginal_law_report,
 )
@@ -52,7 +51,6 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class Report:
-    expectations: dict[SettingPair, float]
     chsh: ChshResult
     marginal_law: MarginalLawReport
     factorization: dict[SettingPair, FactorizationVerdict]
@@ -61,33 +59,21 @@ class Report:
     model: ModelReport | None
 
 
-def build_report(
-    experiment: Experiment,
-    class_tol: float = 1e-6,
-    factorization_tol: float = 1e-9,
-    model: ModelReport | None = None,
-) -> Report:
-    expectations = {
-        pair: expectation_value(experiment.table(pair)) for pair in PAIR_ORDER
-    }
+def build_report(experiment: Experiment, model: ModelReport | None = None) -> Report:
     chsh_result = chsh(experiment)
-    marginal_law = marginal_law_report(experiment, class_tol)
+    marginal_law = marginal_law_report(experiment)
     zoo_class: ZooClass | None
     zoo_error: str | None
     try:
-        zoo_class = decide_class(
-            chsh_result.max_abs_over_variants, marginal_law.holds, class_tol
-        )
+        zoo_class = decide_class(chsh_result.max_abs_over_variants, marginal_law.holds)
         zoo_error = None
     except AmbiguousClassError as exc:
         zoo_class, zoo_error = None, str(exc)
     return Report(
-        expectations=expectations,
         chsh=chsh_result,
         marginal_law=marginal_law,
         factorization={
-            pair: factorization_test(experiment.table(pair), factorization_tol)
-            for pair in PAIR_ORDER
+            pair: factorization_test(experiment.table(pair)) for pair in PAIR_ORDER
         },
         zoo_class=zoo_class,
         zoo_error=zoo_error,
@@ -120,7 +106,7 @@ def _model_payload(block: ModelReport) -> dict[str, Any]:
 
 def render_machine(report: Report) -> str:
     payload: dict[str, Any] = {
-        "expectations": {p.label: _fmt(report.expectations[p]) for p in PAIR_ORDER},
+        "expectations": {p.label: _fmt(report.chsh.expectations[p]) for p in PAIR_ORDER},
         "chsh": {
             "reference_combination": _fmt(report.chsh.reference_combination),
             "max_abs_over_variants": _fmt(report.chsh.max_abs_over_variants),
@@ -175,7 +161,7 @@ def render_text(report: Report) -> str:
     lines = []
     lines.append("expectation values")
     for p in PAIR_ORDER:
-        lines.append(f"  E({p.first},{p.second}) = {_fmt(report.expectations[p])}")
+        lines.append(f"  E({p.first},{p.second}) = {_fmt(report.chsh.expectations[p])}")
     lines.append("chsh")
     lines.append(f"  combination  = {_fmt(report.chsh.reference_combination)}")
     lines.append(f"  max |variant| = {_fmt(report.chsh.max_abs_over_variants)}")

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-#: Default slack when deciding whether raw probabilities are normalized.
-#: Published tables are often rounded, so their sum can miss 1 by a few
-#: parts in a thousand.
+# Every tolerance behind a verdict (those of one built-in dataset are in models).
+#: Normalization: how far a raw table's sum may miss 1 (rounded tables).
 DEFAULT_NORM_TOL = 0.01
-
-_ENTRY_EPS = 1e-12
+#: Zoo class: CHSH against 2 and 2*sqrt(2), and the marginal law.
+CLASS_TOL = 1e-6
+#: Machine precision: factorizability, unit/orthonormal vectors, products, exact models.
+EXACT_TOL = 1e-9
+#: Float noise: slack on an entry's [0, 1] range; a sum this near 1 is exact.
+ENTRY_EPS = 1e-12
 
 
 class TableError(ValueError):
@@ -100,7 +103,7 @@ class JointTable:
 
     def __post_init__(self) -> None:
         for label, value in zip(self.pair.outcome_labels, self.values):
-            if not (-_ENTRY_EPS <= value <= 1.0 + _ENTRY_EPS):
+            if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
                 raise TableError(f"entry {label} = {value!r} is not a probability")
         total = sum(self.values)
         if abs(total - 1.0) > DEFAULT_NORM_TOL:
@@ -128,13 +131,13 @@ def normalize(
 ) -> JointTable:
     """Build a :class:`JointTable` from raw probabilities, rescaling to sum 1.
 
-    Sums already within 1e-12 of 1 are taken as exact: rescaling by such
-    a factor is a floating-point no-op that would only break bitwise
-    file round-trips.
+    Sums already within :data:`ENTRY_EPS` of 1 are taken as exact:
+    rescaling by such a factor is a floating-point no-op that would only
+    break bitwise file round-trips.
 
     Raises :class:`NegativeEntryError` for negative entries and
     :class:`NotNormalizableError` when the raw sum misses 1 by more than
-    ``tol``.
+    ``tol`` (always when ``tol`` is NaN).
     """
     vals = tuple(float(v) for v in values)
     if len(vals) != 4:
@@ -145,11 +148,11 @@ def normalize(
         if value < 0:
             raise NegativeEntryError(f"entry {label} = {value!r} is negative")
     total = sum(vals)
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise NotNormalizableError(
             f"table {pair.label} sums to {total!r}; |sum - 1| exceeds tol={tol}"
         )
-    if abs(total - 1.0) <= 1e-12:
+    if abs(total - 1.0) <= ENTRY_EPS:
         return JointTable(*vals, pair=pair)
     return JointTable(*(v / total for v in vals), pair=pair)
 
@@ -229,7 +232,7 @@ class MarginalLawReport:
     holds: bool
 
 
-def marginal_law_report(experiment: Experiment, tol: float = 1e-6) -> MarginalLawReport:
+def marginal_law_report(experiment: Experiment, tol: float = CLASS_TOL) -> MarginalLawReport:
     """Check the marginal distribution law (no-signaling) on all four settings.
 
     For each side and each of that side's settings, the marginal computed
@@ -283,7 +286,7 @@ class FactorizationVerdict:
     residual: float
 
 
-def factorization_test(table: JointTable, tol: float = 1e-9) -> FactorizationVerdict:
+def factorization_test(table: JointTable, tol: float = EXACT_TOL) -> FactorizationVerdict:
     """Decide whether the table is an outer product of one-sided probabilities.
 
     A normalized nonnegative 2x2 table factorizes as (a, a') x (b, b')
@@ -294,7 +297,7 @@ def factorization_test(table: JointTable, tol: float = 1e-9) -> FactorizationVer
     """
     det = table.p11 * table.p22 - table.p12 * table.p21
     residual = abs(det)
-    if residual > tol:
+    if not residual <= tol:  # a NaN tolerance decides "not factorizable"
         return FactorizationVerdict(False, None, residual)
     factors = Factors(
         a=table.p11 + table.p12,

@@ -2,21 +2,25 @@
 
 Everything here is deliberately written against the *definitions* rather
 than against the library's code paths: the factorization oracle searches
-a product lattice instead of evaluating a determinant, operator
-references are spelled out entrywise from their closed forms, and the
-singular-value / rank oracles go through numpy.
+a product lattice instead of evaluating a determinant, the classical-case
+oracle solves Fine's joint-distribution problem as a linear program
+instead of scoring CHSH, operator references are spelled out entrywise
+from their closed forms, and the singular-value / rank oracles go through
+numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 
 import numpy as np
+from scipy.optimize import linprog
 
 from bellbox.linalg import CMatrix, CVector
-from bellbox.tables import JointTable, SettingPair
+from bellbox.tables import Experiment, JointTable, SettingPair
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +100,46 @@ def lattice_factorization_oracle(
             if residual <= tol:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Fine's theorem oracle
+# ---------------------------------------------------------------------------
+
+#: The 16 deterministic assignments of outcome indices (0 for outcome 1,
+#: 1 for outcome 2) to the settings, in the order (A, A', B, B').
+_ASSIGNMENTS = tuple(itertools.product((0, 1), repeat=4))
+
+
+def fine_joint_distribution_exists(experiment: Experiment) -> bool:
+    """Whether some distribution over the 16 deterministic assignments
+    (a, a', b, b') reproduces all 16 cells of the four tables.
+
+    By Fine's theorem (Fine, PRL 48, 291, 1982) this holds exactly when the
+    marginals agree and all eight CHSH inequalities hold; here it is
+    decided as a linear-programming feasibility problem, without reference
+    to CHSH or to the marginal law.
+    """
+    rows, cells = [], []
+    for table in experiment.tables:
+        first = 0 if table.pair.first == "A" else 1
+        second = 2 if table.pair.second == "B" else 3
+        for k, probability in enumerate(table.values):
+            outcome = divmod(k, 2)  # cell order 11, 12, 21, 22
+            rows.append(
+                [float((lam[first], lam[second]) == outcome) for lam in _ASSIGNMENTS]
+            )
+            cells.append(probability)
+    result = linprog(
+        np.zeros(len(_ASSIGNMENTS)),
+        A_eq=np.array(rows),
+        b_eq=np.array(cells),
+        bounds=(0, None),
+        method="highs",
+    )
+    if result.status not in (0, 2):  # 0 feasible, 2 infeasible
+        raise RuntimeError(f"linprog gave no verdict: {result.message}")
+    return result.status == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from bellbox.tables import (
     JointTable,
     PAIR_ORDER,
     SettingPair,
+    expectation_value,
     outer_product_table,
 )
 from bellbox.models import animal_acts_data, vessels_data, vessels_separated_data
 
-from oracles import random_table
+from oracles import fine_joint_distribution_exists, random_table
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -49,6 +50,39 @@ def product_experiment(a: float, a2: float, b: float, b2: float) -> Experiment:
             for pair in PAIR_ORDER
         }
     )
+
+
+def no_signaling_mixture(rng: random.Random) -> Experiment:
+    """Random mixture of a Popescu-Rohrlich box (anti-correlated on one pair,
+    perfectly correlated on the other three), one to three local
+    deterministic boxes and white noise; every component has intact
+    marginals, so the mixture does too."""
+    minus_on = rng.choice(PAIR_ORDER)
+    nonlocal_box = {
+        p: (0.0, 0.5, 0.5, 0.0) if p is minus_on else (0.5, 0.0, 0.0, 0.5)
+        for p in PAIR_ORDER
+    }
+    noise = {p: (0.25,) * 4 for p in PAIR_ORDER}
+    components = [nonlocal_box, noise]
+    for _ in range(rng.randint(1, 3)):
+        outcome = {s: rng.randrange(2) for s in ("A", "A'", "B", "B'")}
+        components.append({
+            p: tuple(
+                float(divmod(k, 2) == (outcome[p.first], outcome[p.second]))
+                for k in range(4)
+            )
+            for p in PAIR_ORDER
+        })
+    raw = [rng.random() for _ in components]
+    raw[0] *= rng.choice((0.0, 1.0, 4.0, 16.0))  # spread the nonlocal box's weight
+    weights = [w / sum(raw) for w in raw]
+    return Experiment.from_tables({
+        p: JointTable(
+            *(sum(w * c[p][k] for w, c in zip(weights, components)) for k in range(4)),
+            pair=p,
+        )
+        for p in PAIR_ORDER
+    })
 
 
 class TestBounds:
@@ -116,6 +150,11 @@ class TestChsh:
         result = chsh(product_experiment(a, a2, b, b2))
         assert result.max_abs_over_variants <= 2.0 + 1e-9
 
+    def test_carries_the_expectation_values(self):
+        e = animal_acts_data().experiment
+        expected = {p: expectation_value(e.table(p)) for p in PAIR_ORDER}
+        assert chsh(e).expectations == expected
+
     def test_always_below_algebraic_bound(self):
         rng = random.Random(5150)
         for _ in range(200):
@@ -181,3 +220,22 @@ class TestClassify:
                     classify(e.swap_sides())
                 continue
             assert classify(e.swap_sides()) is direct
+
+    def test_kolmogorovian_exactly_when_fine_joint_distribution_exists(self):
+        # Fine's theorem: with intact marginals, a joint distribution over
+        # the deterministic assignments exists exactly when no CHSH
+        # variant exceeds 2
+        rng = random.Random(1982)
+        verdicts = []
+        for _ in range(300):
+            e = no_signaling_mixture(rng)
+            if abs(chsh(e).max_abs_over_variants - 2.0) < 1e-4:
+                continue
+            try:
+                kolmogorovian = classify(e) is ZooClass.KOLMOGOROVIAN_COMPATIBLE
+            except AmbiguousClassError:
+                kolmogorovian = False
+            exists = fine_joint_distribution_exists(e)
+            assert kolmogorovian == exists, [t.values for t in e.tables]
+            verdicts.append(exists)
+        assert 50 <= verdicts.count(True) and 50 <= verdicts.count(False)

@@ -170,6 +170,25 @@ class TestModel:
         assert doc["zoo_class"] == "KolmogorovianCompatible"
         assert doc["chsh"]["reference_combination"] == "2.000000"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tol", "nan"),
+            ("--tol", "-1"),
+            ("--tol", "inf"),
+            ("--normalize-tol", "nan"),
+            ("--alpha", "nan"),
+            ("--alpha", "inf"),
+            ("--beta", "-inf"),
+            ("--beta", "x"),
+        ],
+    )
+    def test_invalid_number_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["model", "animal-acts", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_unknown_model_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["model", "pr-box"])
@@ -237,6 +256,30 @@ class TestSharedFlagPositions:
         )
         assert code == 0
         json.loads(out)  # the later, subcommand-level choice wins
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_invalid_normalize_tol_is_usage_error(self, tmp_path, capsys, value):
+        # every row sums to 0.4: no finite tolerance >= 0 below 0.6 admits it
+        doc = {
+            "version": 1,
+            "sides": {"first": ["A", "A'"], "second": ["B", "B'"]},
+            "settings": ["AB", "AB'", "A'B", "A'B'"],
+            "tables": {
+                pair.label: {label: "0.1" for label in pair.outcome_labels}
+                for pair in SettingPair
+            },
+            "metadata": {},
+        }
+        path = tmp_path / "light.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["--normalize-tol", value, "analyze", str(path)],
+            ["analyze", "--normalize-tol", value, str(path)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "argument --normalize-tol:" in capsys.readouterr().err
 
     def test_normalize_tol_in_global_position(self, tmp_path, capsys):
         doc = {

@@ -144,6 +144,11 @@ class TestFactorization:
         assert verdict.factors is None
         assert abs(verdict.residual - 0.25) < 1e-15
 
+    def test_nan_tolerance_decides_not_factorizable(self):
+        verdict = factorization_test(JointTable(0.0, 0.5, 0.5, 0.0), tol=float("nan"))
+        assert not verdict.factorizable
+        assert verdict.factors is None
+
     def test_deterministic_unique_solution(self):
         verdict = factorization_test(JointTable(1.0, 0.0, 0.0, 0.0), tol=1e-9)
         assert verdict.factorizable
@@ -199,6 +204,10 @@ class TestNormalize:
     def test_sum_too_large(self):
         with pytest.raises(NotNormalizableError):
             normalize((0.5, 0.5, 0.5, 0.0), tol=0.01)
+
+    def test_nan_tolerance_rejects(self):
+        with pytest.raises(NotNormalizableError):
+            normalize((0.1, 0.1, 0.1, 0.1), tol=float("nan"))
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntryError):
