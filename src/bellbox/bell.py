@@ -78,12 +78,11 @@ class AmbiguousClassError(ValueError):
     """Raised when CHSH exceeds the Tsirelson bound while the marginal law
     holds: a configuration none of the named classes covers."""
 
-    def __init__(self, chsh_max: float, tol: float):
+    def __init__(self, chsh_max: float):
         self.chsh_max = chsh_max
-        self.tol = tol
         super().__init__(
             f"CHSH max {chsh_max:.6f} exceeds the Tsirelson bound while the "
-            f"marginal law holds (tol={tol}); no named class applies"
+            f"marginal law holds (tol={CLASS_TOL}); no named class applies"
         )
 
 
@@ -145,7 +144,7 @@ def decide_class(chsh_max: float, marginals_hold: bool) -> ZooClass:
     if marginals_hold:
         if chsh_max <= BOUNDS.tsirelson + CLASS_TOL:
             return ZooClass.NONLOCAL_BOX
-        raise AmbiguousClassError(chsh_max, CLASS_TOL)
+        raise AmbiguousClassError(chsh_max)
     if chsh_max <= BOUNDS.tsirelson + CLASS_TOL:
         return ZooClass.NONLOCAL_NON_MARGINAL_BOX_1
     return ZooClass.NONLOCAL_NON_MARGINAL_BOX_2

@@ -22,9 +22,9 @@ import sys
 from typing import Sequence
 
 from .expfile import ExperimentFileError, read_experiment, write_experiment
-from .hilbert import ISOMORPHISMS, isomorphism_by_name
+from .hilbert import ISOMORPHISMS
 from .models import REGISTRY, get_fixture, get_model
-from .report import ModelReport, Report, build_report, render_machine, render_text
+from .report import Report, build_report, render_machine, render_text
 from .tables import DEFAULT_NORM_TOL, TableError
 
 
@@ -134,13 +134,9 @@ def cmd_model(args: argparse.Namespace) -> int:
         _emit(build_report(get_fixture(args.name).experiment), args.format)
         return 0
     model = get_model(args.name, args.alpha, args.beta)
-    fixture = get_fixture(model.fixture_name)
-    iso = isomorphism_by_name(args.iso)
-    verdict = model.verify(fixture.experiment, tol=args.tol, iso=iso)
-    block = ModelReport(
-        name=model.name, alpha=args.alpha, beta=args.beta, iso=iso, verdict=verdict
-    )
-    _emit(build_report(fixture.experiment, model=block), args.format)
+    data = get_fixture(model.fixture_name).experiment
+    verdict = model.verify(data, tol=args.tol, iso=ISOMORPHISMS[args.iso])
+    _emit(build_report(data, model=(model, verdict)), args.format)
     return 0 if verdict.passed else 1
 
 

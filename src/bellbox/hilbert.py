@@ -245,7 +245,8 @@ class ModelVerdict:
     ``"probabilities"`` for full Born distributions (basis-backed models)
     or ``"expectations"`` for operator expectation values only (models
     known through their operators, whose degenerate spectra do not
-    determine final states).
+    determine final states).  ``tolerance`` decided ``passed`` and ``iso``
+    the entanglement flags.
     """
 
     residual_kind: str
@@ -256,6 +257,7 @@ class ModelVerdict:
     chsh_from_model: float
     chsh_imag_residual: float
     tolerance: float
+    iso: Isomorphism
     passed: bool
 
 
@@ -309,5 +311,6 @@ def verify_model(
         chsh_from_model=bell_value.real,
         chsh_imag_residual=abs(bell_value.imag),
         tolerance=tol,
+        iso=iso,
         passed=all(r <= tol for r in residuals.values()),
     )

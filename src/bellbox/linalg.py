@@ -9,18 +9,12 @@ across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 DIM = 4
-
-
-def _checked_complex(value: object) -> complex:
-    z = complex(value)  # type: ignore[arg-type]
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite amplitude: {value!r}")
-    return z
 
 
 @dataclass(frozen=True, init=False)
@@ -30,9 +24,9 @@ class CVector:
     amplitudes: tuple[complex, complex, complex, complex]
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
-        amps = tuple(_checked_complex(z) for z in amplitudes)
-        if len(amps) != DIM:
-            raise ValueError(f"expected {DIM} amplitudes, got {len(amps)}")
+        amps = tuple(complex(z) for z in amplitudes)
+        if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
+            raise ValueError(f"expected {DIM} finite amplitudes, got {amps}")
         object.__setattr__(self, "amplitudes", amps)
 
     def __iter__(self):
@@ -72,16 +66,15 @@ class CMatrix:
     rows: tuple[tuple[complex, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
-        mat = tuple(tuple(_checked_complex(z) for z in row) for row in rows)
-        if len(mat) != DIM or any(len(row) != DIM for row in mat):
-            raise ValueError(f"expected a {DIM}x{DIM} matrix")
+        mat = tuple(tuple(complex(z) for z in row) for row in rows)
+        if len(mat) != DIM or any(
+            len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
+        ):
+            raise ValueError(f"expected a {DIM}x{DIM} matrix of finite entries")
         object.__setattr__(self, "rows", mat)
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:
         return self.rows[i]
-
-    def entry(self, i: int, j: int) -> complex:
-        return self.rows[i][j]
 
     @classmethod
     def identity(cls) -> CMatrix:
@@ -93,10 +86,8 @@ class CMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[object]) -> CMatrix:
-        vals = [_checked_complex(v) for v in values]
-        if len(vals) != DIM:
-            raise ValueError(f"expected {DIM} diagonal entries")
-        return cls([[vals[i] if i == j else 0 for j in range(DIM)] for i in range(DIM)])
+        n = len(values)
+        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
     def dagger(self) -> CMatrix:
         return CMatrix(

@@ -28,7 +28,6 @@ from typing import Callable, Mapping
 from .bell import ZooClass
 from .hilbert import (
     CANONICAL_ISO,
-    COINCIDENCE_OUTCOMES,
     Isomorphism,
     Measurement,
     ModelVerdict,
@@ -76,17 +75,19 @@ class NamedModel:
     cannot be recovered), in which case ``measurements`` is ``None`` and
     verification compares expectation values instead of Born
     distributions.  ``product_tol`` decides when a measurement or operator
-    counts as entangled.
+    counts as entangled.  ``alpha`` and ``beta`` are the phases the
+    construction was built with (0 for one that has none).
     """
 
     name: str
     state: StateVector
     measurements: Mapping[SettingPair, Measurement] | None
     operators: Mapping[SettingPair, CMatrix]
-    provenance: str
     fixture_name: str
     tolerance: float
     product_tol: float = EXACT_TOL
+    alpha: float = 0.0
+    beta: float = 0.0
 
     def verify(
         self,
@@ -192,7 +193,6 @@ def animal_acts_model() -> NamedModel:
         state=animal_acts_state(),
         measurements=None,
         operators=dict(ANIMAL_ACTS_OPERATORS),
-        provenance="concept-combination survey (Animal Acts)",
         fixture_name="animal-acts",
         tolerance=ANIMAL_ACTS_MODEL_TOL,
         product_tol=ROUNDED_OPERATOR_TOL,
@@ -266,32 +266,15 @@ def vessels_model(
     b = math.sqrt(0.5) * cmath.exp(1j * beta)
     plus = CVector([0, a, b, 0])
     minus = CVector([0, a, -b, 0])
-    state_vec, partner = (plus, minus) if transparent else (minus, plus)
+    state, partner = (plus, minus) if transparent else (minus, plus)
     e0, e1, e2, e3 = CANONICAL_BASIS
-    measurements = {
-        SettingPair.AB: Measurement(SettingPair.AB, (e0, e1, e2, e3)),
-        SettingPair.AB_PRIME: Measurement(
-            SettingPair.AB_PRIME, (state_vec, partner, e0, e3)
-        ),
-        SettingPair.A_PRIME_B: Measurement(
-            SettingPair.A_PRIME_B, (state_vec, e0, partner, e3)
-        ),
-        SettingPair.A_PRIME_B_PRIME: Measurement(
-            SettingPair.A_PRIME_B_PRIME, (state_vec, e0, e3, partner)
-        ),
+    bases = {
+        SettingPair.AB: (e0, e1, e2, e3),
+        SettingPair.AB_PRIME: (state, partner, e0, e3),
+        SettingPair.A_PRIME_B: (state, e0, partner, e3),
+        SettingPair.A_PRIME_B_PRIME: (state, e0, e3, partner),
     }
-    operators = {
-        pair: operator_from_measurement(m) for pair, m in measurements.items()
-    }
-    return NamedModel(
-        name="vessels",
-        state=StateVector(state_vec),
-        measurements=measurements,
-        operators=operators,
-        provenance="connected vessels of water, entangled-state construction",
-        fixture_name="vessels",
-        tolerance=EXACT_MODEL_TOL,
-    )
+    return _vessel_model("vessels", state, bases, alpha, beta)
 
 
 def vessels_alternative_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
@@ -309,23 +292,34 @@ def vessels_alternative_model(alpha: float = 0.0, beta: float = 0.0) -> NamedMod
     e = CANONICAL_BASIS
     w_plus = CVector([a, 0, 0, b])
     w_minus = CVector([a, 0, 0, -b])
-    measurements = {
-        SettingPair.AB: Measurement(SettingPair.AB, (e[1], w_plus, w_minus, e[2])),
-        SettingPair.AB_PRIME: Measurement(SettingPair.AB_PRIME, e),
-        SettingPair.A_PRIME_B: Measurement(SettingPair.A_PRIME_B, e),
-        SettingPair.A_PRIME_B_PRIME: Measurement(SettingPair.A_PRIME_B_PRIME, e),
+    bases = {
+        SettingPair.AB: (e[1], w_plus, w_minus, e[2]),
+        SettingPair.AB_PRIME: e,
+        SettingPair.A_PRIME_B: e,
+        SettingPair.A_PRIME_B_PRIME: e,
     }
-    operators = {
-        pair: operator_from_measurement(m) for pair, m in measurements.items()
-    }
+    return _vessel_model("vessels-alt", e[0], bases, alpha, beta)
+
+
+def _vessel_model(
+    name: str,
+    state: CVector,
+    bases: Mapping[SettingPair, tuple[CVector, ...]],
+    alpha: float,
+    beta: float,
+) -> NamedModel:
+    """An exact construction on the vessels data from its state and the
+    final-state basis of each setting pair."""
+    measurements = {pair: Measurement(pair, basis) for pair, basis in bases.items()}
     return NamedModel(
-        name="vessels-alt",
-        state=StateVector(e[0]),
+        name=name,
+        state=StateVector(state),
         measurements=measurements,
-        operators=operators,
-        provenance="connected vessels of water, product-state construction",
+        operators={p: operator_from_measurement(m) for p, m in measurements.items()},
         fixture_name="vessels",
         tolerance=EXACT_MODEL_TOL,
+        alpha=alpha,
+        beta=beta,
     )
 
 
@@ -338,7 +332,6 @@ def basis_from_probabilities(
     state: StateVector,
     targets: tuple[float, float, float, float],
     pair: SettingPair = SettingPair.AB,
-    outcomes: tuple[float, float, float, float] = COINCIDENCE_OUTCOMES,
 ) -> Measurement:
     """Build an orthonormal basis whose Born probabilities in ``state``
     equal ``targets``.
@@ -375,7 +368,7 @@ def basis_from_probabilities(
             for i in range(4)
         ]
         basis.append(CVector(column).scaled(-c))
-    return Measurement(pair, tuple(basis), outcomes)
+    return Measurement(pair, tuple(basis))
 
 
 # ---------------------------------------------------------------------------

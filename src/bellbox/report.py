@@ -21,7 +21,8 @@ from .bell import (
     chsh,
     decide_class,
 )
-from .hilbert import Isomorphism, ModelVerdict
+from .hilbert import ModelVerdict
+from .models import NamedModel
 from .tables import (
     Experiment,
     FactorizationVerdict,
@@ -38,28 +39,19 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class ModelReport:
-    """Verification block attached to a report when a named construction
-    was checked against the analyzed data."""
-
-    name: str
-    alpha: float
-    beta: float
-    iso: Isomorphism
-    verdict: ModelVerdict
-
-
-@dataclass(frozen=True)
 class Report:
     chsh: ChshResult
     marginal_law: MarginalLawReport
     factorization: dict[SettingPair, FactorizationVerdict]
     zoo_class: ZooClass | None
     zoo_error: str | None
-    model: ModelReport | None
+    #: A named construction and its verdict on the analyzed data, if checked.
+    model: tuple[NamedModel, ModelVerdict] | None
 
 
-def build_report(experiment: Experiment, model: ModelReport | None = None) -> Report:
+def build_report(
+    experiment: Experiment, model: tuple[NamedModel, ModelVerdict] | None = None
+) -> Report:
     chsh_result = chsh(experiment)
     marginal_law = marginal_law_report(experiment)
     zoo_class: ZooClass | None
@@ -81,13 +73,12 @@ def build_report(experiment: Experiment, model: ModelReport | None = None) -> Re
     )
 
 
-def _model_payload(block: ModelReport) -> dict[str, Any]:
-    v = block.verdict
+def _model_payload(model: NamedModel, v: ModelVerdict) -> dict[str, Any]:
     return {
-        "name": block.name,
-        "alpha": _fmt(block.alpha),
-        "beta": _fmt(block.beta),
-        "iso": block.iso.name,
+        "name": model.name,
+        "alpha": _fmt(model.alpha),
+        "beta": _fmt(model.beta),
+        "iso": v.iso.name,
         "residual_kind": v.residual_kind,
         "tolerance": _fmt(v.tolerance),
         "residuals": {p.label: _fmt(v.residuals[p]) for p in PAIR_ORDER},
@@ -152,7 +143,7 @@ def render_machine(report: Report) -> str:
         },
         "zoo_class": report.zoo_class.value if report.zoo_class else None,
         "zoo_error": report.zoo_error,
-        "model": _model_payload(report.model) if report.model else None,
+        "model": _model_payload(*report.model) if report.model else None,
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -203,11 +194,10 @@ def render_text(report: Report) -> str:
     else:
         lines.append(f"class: unresolved ({report.zoo_error})")
     if report.model is not None:
-        block = report.model
-        v = block.verdict
+        model, v = report.model
         lines.append(
-            f"model {block.name} (alpha={block.alpha:g}, beta={block.beta:g}, "
-            f"iso={block.iso.name})"
+            f"model {model.name} (alpha={model.alpha:g}, beta={model.beta:g}, "
+            f"iso={v.iso.name})"
         )
         lines.append(
             f"  verification ({v.residual_kind}, tol {v.tolerance:g}): "

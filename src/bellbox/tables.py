@@ -299,13 +299,8 @@ def factorization_test(table: JointTable, tol: float = EXACT_TOL) -> Factorizati
     residual = abs(det)
     if not residual <= tol:  # a NaN tolerance decides "not factorizable"
         return FactorizationVerdict(False, None, residual)
-    factors = Factors(
-        a=table.p11 + table.p12,
-        b=table.p11 + table.p21,
-        a_prime=table.p21 + table.p22,
-        b_prime=table.p12 + table.p22,
-    )
-    return FactorizationVerdict(True, factors, residual)
+    (a, a_prime), (b, b_prime) = marginals(table)
+    return FactorizationVerdict(True, Factors(a, b, a_prime, b_prime), residual)
 
 
 def outer_product_table(

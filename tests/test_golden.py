@@ -36,3 +36,12 @@ def test_model_report_bytes(capsys, name, iso, phases, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert out == _golden_path(name, iso, phases, fmt).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ("machine", "text"))
+def test_phase_free_model_reports_no_phase(capsys, fmt):
+    # animal-acts has no phase, so --alpha/--beta change nothing it reports
+    code = main(["model", "animal-acts", "--alpha", "0.7", "--beta", "-0.3", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == _golden_path("animal-acts", "canonical", (), fmt).read_text(encoding="utf-8")

@@ -427,3 +427,11 @@ class TestVerifyModel:
         )
         assert not verdict.passed
         assert max(verdict.residuals.values()) > 0.4
+
+    def test_verdict_records_its_isomorphism(self):
+        model = vessels_model(0.0, 0.0)
+        verdict = verify_model(
+            model.state, model.measurements, vessels_data().experiment,
+            tol=1e-9, iso=SWAPPED_ISO,
+        )
+        assert verdict.iso is SWAPPED_ISO

@@ -183,6 +183,10 @@ class TestVesselsModel:
             )
         )
 
+    def test_records_its_phases(self):
+        model = vessels_model(0.7, -0.3)
+        assert (model.alpha, model.beta) == (0.7, -0.3)
+
     def test_nontransparent_variant_same_chsh(self):
         dark = vessels_model(0.7, 0.2, transparent=False)
         assert dark.state.vector[2] == -SQ * cmath.exp(0.2j)
