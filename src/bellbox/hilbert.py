@@ -56,15 +56,6 @@ SWAPPED_ISO = Isomorphism("swapped", ((0, 0), (1, 0), (0, 1), (1, 1)))
 ISOMORPHISMS = {iso.name: iso for iso in (CANONICAL_ISO, SWAPPED_ISO)}
 
 
-def isomorphism_by_name(name: str) -> Isomorphism:
-    try:
-        return ISOMORPHISMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown isomorphism {name!r}; choose from {sorted(ISOMORPHISMS)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A unit vector in C^4 (norm 1 within :data:`tables.EXACT_TOL`)."""
@@ -143,12 +134,17 @@ def operator_from_measurement(measurement: Measurement) -> CMatrix:
 
 def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
     """The CHSH combination of ``operators`` with the signs of
-    :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB."""
-    total = CMatrix.zero()
-    for pair in CHSH_TERM_ORDER:
-        term = operators[pair]
-        total = total + term if REFERENCE_SIGNS[pair] > 0 else total - term
-    return total
+    :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB, summed
+    entry by entry in :data:`bell.CHSH_TERM_ORDER`."""
+    terms = [(operators[p].rows, REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER]
+
+    def entry(i: int, j: int) -> complex:
+        total = 0j
+        for rows, plus in terms:
+            total = total + rows[i][j] if plus else total - rows[i][j]
+        return total
+
+    return CMatrix([[entry(i, j) for j in range(DIM)] for i in range(DIM)])
 
 
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]

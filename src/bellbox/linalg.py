@@ -1,9 +1,12 @@
 """Immutable complex vectors and matrices in dimension four.
 
 Everything downstream lives in C^4 (two binary settings per side), so the
-types are fixed-size and the routines favour clarity over generality:
-plain tuples of Python ``complex``, no numerics library.  All values are
-immutable and every operation is pure, so they can be shared freely
+types are fixed-size: plain tuples of Python ``complex``, no numerics
+library, each checked for shape and finiteness once, on construction.
+:class:`CVector` carries the operations the state and basis constructions
+use; :class:`CMatrix` is a 4x4 with indexing, built in one pass by its
+callers.  The functions are the products bellbox evaluates.  All values
+are immutable and every operation is pure, so they can be shared freely
 across threads.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DIM = 4
 
@@ -50,9 +53,6 @@ class CVector:
     def __add__(self, other: CVector) -> CVector:
         return CVector(a + b for a, b in zip(self.amplitudes, other.amplitudes))
 
-    def __sub__(self, other: CVector) -> CVector:
-        return CVector(a - b for a, b in zip(self.amplitudes, other.amplitudes))
-
 
 CANONICAL_BASIS = tuple(
     CVector([1 if i == k else 0 for i in range(DIM)]) for k in range(DIM)
@@ -76,52 +76,10 @@ class CMatrix:
     def __getitem__(self, i: int) -> tuple[complex, ...]:
         return self.rows[i]
 
-    @classmethod
-    def identity(cls) -> CMatrix:
-        return cls([[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
-
-    @classmethod
-    def zero(cls) -> CMatrix:
-        return cls([[0] * DIM for _ in range(DIM)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence[object]) -> CMatrix:
-        n = len(values)
-        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
-
-    def dagger(self) -> CMatrix:
-        return CMatrix(
-            [[self.rows[j][i].conjugate() for j in range(DIM)] for i in range(DIM)]
-        )
-
-    def scaled(self, factor: complex) -> CMatrix:
-        return CMatrix([[factor * z for z in row] for row in self.rows])
-
-    def __add__(self, other: CMatrix) -> CMatrix:
-        return CMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: CMatrix) -> CMatrix:
-        return CMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
 
 def inner(u: CVector, v: CVector) -> complex:
     """Hermitian inner product <u|v>, conjugating the first argument."""
     return sum((a.conjugate() * b for a, b in zip(u, v)), 0j)
-
-
-def outer(u: CVector, v: CVector) -> CMatrix:
-    """Rank-one matrix |u><v|."""
-    return CMatrix([[a * b.conjugate() for b in v] for a in u])
 
 
 def apply(m: CMatrix, v: CVector) -> CVector:
@@ -129,26 +87,11 @@ def apply(m: CMatrix, v: CVector) -> CVector:
     return CVector(sum((row[j] * v[j] for j in range(DIM)), 0j) for row in m.rows)
 
 
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    return CMatrix(
-        [
-            [sum((a[i][k] * b[k][j] for k in range(DIM)), 0j) for j in range(DIM)]
-            for i in range(DIM)
-        ]
-    )
-
-
 def hermiticity_residual(m: CMatrix) -> float:
     """Largest entrywise deviation of ``m`` from its conjugate transpose."""
     return max(
         abs(m[i][j] - m[j][i].conjugate()) for i in range(DIM) for j in range(DIM)
     )
-
-
-def is_hermitian(m: CMatrix, tol: float) -> bool:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return hermiticity_residual(m) <= tol
 
 
 def quadratic_form(m: CMatrix, v: CVector) -> complex:
@@ -165,7 +108,3 @@ def expectation(m: CMatrix, v: CVector) -> float:
     residual.
     """
     return quadratic_form(m, v).real
-
-
-def max_entry_difference(a: CMatrix, b: CMatrix) -> float:
-    return max(abs(a[i][j] - b[i][j]) for i in range(DIM) for j in range(DIM))

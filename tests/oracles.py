@@ -201,6 +201,11 @@ def np_singular_values_2x2(block) -> tuple[float, float]:
     return float(s[0]), float(s[1])
 
 
+def np_max_entry_difference(a: CMatrix, b: CMatrix) -> float:
+    """Largest entrywise modulus of ``a - b``."""
+    return float(np.abs(np.array(a.rows) - np.array(b.rows)).max())
+
+
 def np_second_singular_value(m: CMatrix) -> float:
     """Second-largest singular value; zero exactly for rank <= 1."""
     arr = np.array([[m[i][j] for j in range(4)] for i in range(4)])

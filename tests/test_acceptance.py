@@ -16,7 +16,7 @@ from bellbox.hilbert import (
     is_entangled_measurement,
     reshape,
 )
-from bellbox.linalg import expectation, hermiticity_residual, inner, max_entry_difference
+from bellbox.linalg import expectation, hermiticity_residual, inner
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
     animal_acts_data,
@@ -41,6 +41,7 @@ from bellbox.tables import (
 from oracles import (
     alternative_ab_operator_reference,
     lattice_factorization_oracle,
+    np_max_entry_difference,
     random_outer_product_table,
     random_table,
     random_unit_cvector,
@@ -142,7 +143,7 @@ def test_criterion_4_alternative_vessels_model():
             assert entangled == [SettingPair.AB], (alpha, beta)
             want = alternative_ab_operator_reference(alpha, beta, (1, -1, -1, 1))
             got = model.operators[SettingPair.AB]
-            assert max_entry_difference(got, want) <= 1e-12, (alpha, beta)
+            assert np_max_entry_difference(got, want) <= 1e-12, (alpha, beta)
 
     _check(4, "alternative vessels model: combination 4 from the product "
               "state, only AB entangled, AB operator matches closed form", body)

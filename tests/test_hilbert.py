@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bellbox.hilbert import (
@@ -15,7 +16,6 @@ from bellbox.hilbert import (
     is_entangled_measurement,
     is_product_operator,
     is_product_vector,
-    isomorphism_by_name,
     max_minor_2x2,
     operator_from_measurement,
     realign,
@@ -28,8 +28,6 @@ from bellbox.linalg import (
     CVector,
     expectation,
     hermiticity_residual,
-    matmul,
-    max_entry_difference,
 )
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
@@ -39,10 +37,21 @@ from bellbox.models import (
     vessels_data,
     vessels_model,
 )
-from bellbox.tables import PAIR_ORDER, SettingPair
+from bellbox.tables import (
+    EXACT_TOL,
+    PAIR_ORDER,
+    Experiment,
+    JointTable,
+    NotNormalizableError,
+    SettingPair,
+    factorization_test,
+    marginal_law_report,
+    normalize,
+)
 
 from oracles import (
     alternative_ab_operator_reference,
+    np_max_entry_difference,
     np_random_orthonormal_basis,
     np_second_singular_value,
     np_singular_values_2x2,
@@ -124,7 +133,7 @@ class TestOperatorFromMeasurement:
 
     def test_canonical_basis_gives_diagonal(self):
         op = operator_from_measurement(self.canonical_measurement())
-        assert max_entry_difference(op, CMatrix.diagonal([1, -1, -1, 1])) == 0
+        assert np_max_entry_difference(op, CMatrix(np.diag([1, -1, -1, 1]))) == 0
 
     def test_vessel_offdiagonal_operator_zero_phase_difference(self):
         model = vessels_model(alpha=0.4, beta=0.4)  # equal phases
@@ -137,20 +146,20 @@ class TestOperatorFromMeasurement:
                 [0, 0, 0, 1],
             ]
         )
-        assert max_entry_difference(op, want) <= 1e-12
+        assert np_max_entry_difference(op, want) <= 1e-12
 
     def test_vessel_offdiagonal_operators_general_phases(self):
         model = vessels_model(alpha=1.3, beta=-0.2)
         for pair in (SettingPair.AB_PRIME, SettingPair.A_PRIME_B):
             got = model.operators[pair]
             want = vessels_offdiag_operator_reference(1.3, -0.2, (1, -1, -1, 1))
-            assert max_entry_difference(got, want) <= 1e-12
+            assert np_max_entry_difference(got, want) <= 1e-12
 
     def test_alternative_ab_operator_matches_reference(self):
         model = vessels_alternative_model(alpha=0.9, beta=2.2)
         got = model.operators[SettingPair.AB]
         want = alternative_ab_operator_reference(0.9, 2.2, (1, -1, -1, 1))
-        assert max_entry_difference(got, want) <= 1e-12
+        assert np_max_entry_difference(got, want) <= 1e-12
 
     def test_hermitian_and_involutive_for_unit_outcomes(self):
         rng = random.Random(2718)
@@ -159,8 +168,8 @@ class TestOperatorFromMeasurement:
             m = Measurement(SettingPair.AB, tuple(basis))
             op = operator_from_measurement(m)
             assert hermiticity_residual(op) <= 1e-12
-            squared = matmul(op, op)
-            assert max_entry_difference(squared, CMatrix.identity()) <= 1e-9
+            arr = np.array(op.rows)
+            assert np.abs(arr @ arr - np.eye(4)).max() <= 1e-9
 
     def test_spectral_form_consistent_with_born_rule(self):
         rng = random.Random(1618)
@@ -192,7 +201,7 @@ class TestBellOperator:
             assert abs(bell[3][k]) <= 1e-12 and abs(bell[k][3]) <= 1e-12
 
     def test_zero_inputs(self):
-        z = CMatrix.zero()
+        z = CMatrix(np.zeros((4, 4)))
         assert bell_operator({pair: z for pair in SettingPair}) == z
 
     def test_alternative_model_combination_expectation(self):
@@ -202,10 +211,10 @@ class TestBellOperator:
 
     def test_argument_order(self):
         # combination must be A'B' + A'B + AB' - AB
-        ab = CMatrix.diagonal([1, 0, 0, 0])
-        abp = CMatrix.diagonal([0, 1, 0, 0])
-        apb = CMatrix.diagonal([0, 0, 1, 0])
-        apbp = CMatrix.diagonal([0, 0, 0, 1])
+        ab = CMatrix(np.diag([1, 0, 0, 0]))
+        abp = CMatrix(np.diag([0, 1, 0, 0]))
+        apb = CMatrix(np.diag([0, 0, 1, 0]))
+        apbp = CMatrix(np.diag([0, 0, 0, 1]))
         combo = bell_operator(
             {
                 SettingPair.AB_PRIME: abp,
@@ -214,7 +223,25 @@ class TestBellOperator:
                 SettingPair.A_PRIME_B_PRIME: apbp,
             }
         )
-        assert combo == CMatrix.diagonal([-1, 1, 1, 1])
+        assert combo == CMatrix(np.diag([-1, 1, 1, 1]))
+
+    def test_matches_numpy_on_complex_operators(self):
+        # non-Hermitian operators with complex off-diagonal entries, summed
+        # in the same order, agree bit for bit
+        rng = np.random.default_rng(1729)
+        for _ in range(25):
+            arrays = {
+                pair: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                for pair in SettingPair
+            }
+            got = bell_operator({pair: CMatrix(a) for pair, a in arrays.items()})
+            want = (
+                (arrays[SettingPair.A_PRIME_B_PRIME] + arrays[SettingPair.A_PRIME_B])
+                + arrays[SettingPair.AB_PRIME]
+            ) - arrays[SettingPair.AB]
+            for i in range(4):
+                for j in range(4):
+                    assert got[i][j] == want[i, j], (i, j)
 
 
 class TestReshape:
@@ -298,17 +325,17 @@ class TestProductVector:
 class TestProductOperator:
     def test_diagonal_sign_matrix_is_product(self):
         # equals diag(1,-1) (x) diag(1,-1)
-        m = CMatrix.diagonal([1, -1, -1, 1])
+        m = CMatrix(np.diag([1, -1, -1, 1]))
         assert is_product_operator(m)
         z = [[1, 0], [0, -1]]
-        assert max_entry_difference(m, product_operator(z, z, CANONICAL_ISO.cells)) == 0
+        assert np_max_entry_difference(m, product_operator(z, z, CANONICAL_ISO.cells)) == 0
 
     def test_vessel_offdiagonal_operator_not_product(self):
         op = vessels_offdiag_operator_reference(0.0, 0.0, (1, -1, -1, 1))
         assert not is_product_operator(op)
 
     def test_identity_is_product(self):
-        assert is_product_operator(CMatrix.identity())
+        assert is_product_operator(CMatrix(np.eye(4)))
 
     def test_random_kron_products(self):
         rng = random.Random(12)
@@ -365,12 +392,6 @@ class TestIsomorphism:
     def test_bijection_enforced(self):
         with pytest.raises(ValueError):
             Isomorphism("bad", ((0, 0), (0, 0), (1, 0), (1, 1)))
-
-    def test_lookup_by_name(self):
-        assert isomorphism_by_name("canonical") is CANONICAL_ISO
-        assert isomorphism_by_name("swapped") is SWAPPED_ISO
-        with pytest.raises(ValueError):
-            isomorphism_by_name("diagonal")
 
     def test_entanglement_location_under_both_isomorphisms(self):
         # the product-state construction keeps its state product and its
@@ -435,3 +456,39 @@ class TestVerifyModel:
             tol=1e-9, iso=SWAPPED_ISO,
         )
         assert verdict.iso is SWAPPED_ISO
+
+
+def _normalizes(tol):
+    try:
+        normalize((0.25, 0.25, 0.25, 0.25), tol=tol)
+    except NotNormalizableError:
+        return False
+    return True
+
+
+def _vessels_pass(tol):
+    model = vessels_model()
+    return verify_model(model.state, model.measurements, vessels_data().experiment, tol).passed
+
+
+#: Each check on an input that it accepts at EXACT_TOL.
+ACCEPTS_WITHIN = {
+    "normalize": _normalizes,
+    "marginal_law_report": lambda tol: marginal_law_report(
+        Experiment(tuple(JointTable(0.25, 0.25, 0.25, 0.25, pair) for pair in PAIR_ORDER)), tol
+    ).holds,
+    "factorization_test": lambda tol: factorization_test(
+        JointTable(0.25, 0.25, 0.25, 0.25), tol
+    ).factorizable,
+    "is_product_vector": lambda tol: is_product_vector(CVector([1, 0, 0, 0]), tol=tol),
+    "is_product_operator": lambda tol: is_product_operator(CMatrix(np.eye(4)), tol=tol),
+    "verify_model": _vessels_pass,
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("check", sorted(ACCEPTS_WITHIN))
+def test_no_value_is_within_a_negative_or_nan_tolerance(check, tol):
+    accepts = ACCEPTS_WITHIN[check]
+    assert accepts(EXACT_TOL)
+    assert not accepts(tol)

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,9 +13,6 @@ from bellbox.linalg import (
     expectation,
     hermiticity_residual,
     inner,
-    is_hermitian,
-    matmul,
-    outer,
     quadratic_form,
 )
 from bellbox.models import ANIMAL_ACTS_OPERATORS, vessels_model
@@ -81,10 +79,10 @@ class TestInner:
 class TestApply:
     def test_identity(self):
         v = CVector([1j, 2, 3, 4 - 1j])
-        assert apply(CMatrix.identity(), v) == v
+        assert apply(CMatrix(np.eye(4)), v) == v
 
     def test_diagonal_action(self):
-        m = CMatrix.diagonal([1, -1, -1, 1])
+        m = CMatrix(np.diag([1, -1, -1, 1]))
         assert apply(m, CVector([0, 1, 0, 0])) == CVector([0, -1, 0, 0])
 
     def test_bell_operator_scales_vessel_state(self):
@@ -116,20 +114,16 @@ class TestApply:
 
 class TestHermitian:
     def test_identity_zero_tolerance(self):
-        assert is_hermitian(CMatrix.identity(), tol=0.0)
+        assert hermiticity_residual(CMatrix(np.eye(4))) <= 0.0
 
     def test_quoted_operator_matrix(self):
-        assert is_hermitian(ANIMAL_ACTS_OPERATORS[SettingPair.AB], tol=1e-3)
+        assert hermiticity_residual(ANIMAL_ACTS_OPERATORS[SettingPair.AB]) <= 1e-3
 
     def test_antihermitian_offdiagonal(self):
         rows = [[0] * 4 for _ in range(4)]
         rows[0][1] = 1j
         rows[1][0] = 1j
-        assert not is_hermitian(CMatrix(rows), tol=1e-9)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            is_hermitian(CMatrix.identity(), tol=-1.0)
+        assert hermiticity_residual(CMatrix(rows)) > 1e-9
 
 
 class TestExpectation:
@@ -137,7 +131,7 @@ class TestExpectation:
         rng = random.Random(11)
         for _ in range(20):
             v = random_unit_cvector(rng)
-            assert abs(expectation(CMatrix.identity(), v) - 1) < 1e-12
+            assert abs(expectation(CMatrix(np.eye(4)), v) - 1) < 1e-12
 
     def test_bell_operator_in_vessel_state(self):
         model = vessels_model(alpha=0.25, beta=1.5)
@@ -145,7 +139,7 @@ class TestExpectation:
         assert abs(expectation(bell, model.state.vector) - 4.0) < 1e-12
 
     def test_diagonal_superposition(self):
-        m = CMatrix.diagonal([1, -1, -1, 1])
+        m = CMatrix(np.diag([1, -1, -1, 1]))
         v = CVector([0, math.sqrt(0.5), math.sqrt(0.5), 0])
         # 0.5 * (-1) + 0.5 * (-1)
         assert abs(expectation(m, v) - (-1.0)) < 1e-12
@@ -153,25 +147,14 @@ class TestExpectation:
     def test_hermitian_quadratic_form_is_real(self):
         rng = random.Random(23)
         for _ in range(50):
-            raw = CMatrix(
-                [
-                    [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
-                    for _ in range(4)
-                ]
+            raw = [
+                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+                for _ in range(4)
+            ]
+            herm = CMatrix(
+                [[0.5 * (raw[i][j] + raw[j][i].conjugate()) for j in range(4)] for i in range(4)]
             )
-            herm = (raw + raw.dagger()).scaled(0.5)
             assert hermiticity_residual(herm) <= 1e-12
             v = random_unit_cvector(rng)
             assert abs(quadratic_form(herm, v).imag) <= 1e-9
 
-
-class TestMatrixAlgebra:
-    def test_outer_of_canonical(self):
-        e1 = CVector([0, 1, 0, 0])
-        m = outer(e1, e1)
-        assert m[1][1] == 1
-        assert sum(abs(m[i][j]) for i in range(4) for j in range(4)) == 1
-
-    def test_matmul_identity(self):
-        m = CMatrix.diagonal([2, 3, 4, 5])
-        assert matmul(m, CMatrix.identity()) == m
