@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .linalg import (
@@ -89,7 +90,8 @@ class Measurement:
     Final states are kept in table cell order (11, 12, 21, 22) for the
     measurement's setting pair; the operator representation is recovered
     from the spectral form when needed, never the other way round (the
-    operators can have degenerate spectra).
+    operators can have degenerate spectra).  The measurement is immutable,
+    so :attr:`operator` is built on first use and kept.
     """
 
     pair: SettingPair
@@ -112,6 +114,11 @@ class Measurement:
                         f"orthonormal: |<i|j>| = {overlap!r}"
                     )
 
+    @cached_property
+    def operator(self) -> CMatrix:
+        """See :func:`operator_from_measurement`."""
+        return operator_from_measurement(self)
+
 
 def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTable:
     """Outcome probabilities |<final_k|state>|^2 as a joint table."""
@@ -122,14 +129,20 @@ def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTabl
 
 def operator_from_measurement(measurement: Measurement) -> CMatrix:
     """Self-adjoint operator in spectral form, sum of outcome * |f><f|."""
-    terms = tuple(zip(measurement.outcomes, measurement.final_states))
-    axis = range(DIM)
-    return CMatrix(
-        [
-            [sum((x * (f[i] * f[j].conjugate()) for x, f in terms), 0j) for j in axis]
-            for i in axis
-        ]
-    )
+    terms = [
+        (x, f.amplitudes, [z.conjugate() for z in f.amplitudes])
+        for x, f in zip(measurement.outcomes, measurement.final_states)
+    ]
+    rows = []
+    for i in range(DIM):
+        row = []
+        for j in range(DIM):
+            total = 0j
+            for x, f, f_conj in terms:
+                total += x * (f[i] * f_conj[j])
+            row.append(total)
+        rows.append(row)
+    return CMatrix(rows)
 
 
 def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
@@ -200,25 +213,20 @@ def realign(m: CMatrix, iso: Isomorphism = CANONICAL_ISO) -> CMatrix:
     return CMatrix(rows)
 
 
-def max_minor_2x2(m: CMatrix) -> float:
-    """Largest absolute 2x2 minor; zero exactly for rank <= 1 matrices."""
-    best = 0.0
-    for r1 in range(DIM):
-        for r2 in range(r1 + 1, DIM):
-            for c1 in range(DIM):
-                for c2 in range(c1 + 1, DIM):
-                    minor = m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
-                    if abs(minor) > best:
-                        best = abs(minor)
-    return best
-
-
 def is_product_operator(
     m: CMatrix, iso: Isomorphism = CANONICAL_ISO, tol: float = EXACT_TOL
 ) -> bool:
     """True when ``m`` equals some A (x) B under ``iso``: every 2x2 minor
-    of the realignment vanishes within ``tol``."""
-    return max_minor_2x2(realign(m, iso)) <= tol
+    of the realignment vanishes within ``tol``.  The scan stops at the
+    first minor that does not, so a NaN or negative ``tol`` fails closed."""
+    r = realign(m, iso).rows
+    for r1 in range(DIM):
+        for r2 in range(r1 + 1, DIM):
+            for c1 in range(DIM):
+                for c2 in range(c1 + 1, DIM):
+                    if not abs(r[r1][c1] * r[r2][c2] - r[r1][c2] * r[r2][c1]) <= tol:
+                        return False
+    return True
 
 
 def is_entangled_measurement(
@@ -257,56 +265,101 @@ class ModelVerdict:
     passed: bool
 
 
-def verify_model(
+@dataclass(frozen=True)
+class ModelPredictions:
+    """What a construction predicts, whatever the data and the isomorphism.
+
+    ``predicted`` holds per setting pair the Born probabilities in cell
+    order (a construction with ``measurements``) or the expectation value
+    <s|E|s> (one known only through ``operators``).  ``bell_value`` is the
+    full complex <s|B|s> of the :func:`bell_operator`.
+    """
+
+    state: StateVector
+    measurements: Mapping[SettingPair, Measurement] | None
+    operators: Mapping[SettingPair, CMatrix]
+    predicted: Mapping[SettingPair, tuple[float, ...] | float]
+    hermiticity_residuals: Mapping[SettingPair, float]
+    bell_value: complex
+
+
+def predict_model(
     state: StateVector,
     measurements: Mapping[SettingPair, Measurement] | None,
+    operators: Mapping[SettingPair, CMatrix],
+) -> ModelPredictions:
+    """The :class:`ModelPredictions` of a construction."""
+    if measurements is not None:
+        predicted = {p: born_probabilities(state, measurements[p]).values for p in PAIR_ORDER}
+    else:
+        predicted = {p: expectation(operators[p], state.vector) for p in PAIR_ORDER}
+    return ModelPredictions(
+        state=state,
+        measurements=measurements,
+        operators=operators,
+        predicted=predicted,
+        hermiticity_residuals={p: hermiticity_residual(operators[p]) for p in PAIR_ORDER},
+        bell_value=quadratic_form(bell_operator(operators), state.vector),
+    )
+
+
+def verify_predictions(
+    predictions: ModelPredictions,
     data: Experiment,
     tol: float,
     iso: Isomorphism = CANONICAL_ISO,
     product_tol: float = EXACT_TOL,
-    operators: Mapping[SettingPair, CMatrix] | None = None,
 ) -> ModelVerdict:
-    """Check a construction against the data tables.
+    """Compare a construction's predictions with the data tables and flag
+    its entanglement under ``iso``.
 
-    Every model is checked through its operators (built from
-    ``measurements`` when not given): Hermiticity residuals and the
-    model's CHSH value.  A model with ``measurements`` compares Born
-    probabilities with the tables and flags entangled final states; a
-    model known only through ``operators`` compares expectation values
-    <s|E|s> with the tables' and flags operators that are not products.
-    Entanglement of measurements and operators is decided at
-    ``product_tol``, of the state at :data:`tables.EXACT_TOL`.
+    A construction with measurements compares Born probabilities with the
+    tables and flags entangled final states; one known only through its
+    operators compares expectation values with the tables' and flags
+    operators that are not products.  Entanglement of measurements and
+    operators is decided at ``product_tol``, of the state at
+    :data:`tables.EXACT_TOL`.
     """
-    if operators is None:
-        operators = {p: operator_from_measurement(measurements[p]) for p in PAIR_ORDER}
+    measurements = predictions.measurements
     residuals = {}
     entangled = {}
     for pair in PAIR_ORDER:
         observed = data.table(pair)
+        predicted = predictions.predicted[pair]
         if measurements is not None:
-            m = measurements[pair]
-            predicted = born_probabilities(state, m)
-            residuals[pair] = max(
-                abs(p - o) for p, o in zip(predicted.values, observed.values)
-            )
-            entangled[pair] = is_entangled_measurement(m, iso, product_tol)
+            residuals[pair] = max(abs(p - o) for p, o in zip(predicted, observed.values))
+            entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
         else:
-            residuals[pair] = abs(
-                expectation(operators[pair], state.vector) - expectation_value(observed)
+            residuals[pair] = abs(predicted - expectation_value(observed))
+            entangled[pair] = not is_product_operator(
+                predictions.operators[pair], iso, product_tol
             )
-            entangled[pair] = not is_product_operator(operators[pair], iso, product_tol)
-    bell_value = quadratic_form(bell_operator(operators), state.vector)
+    bell_value = predictions.bell_value
     return ModelVerdict(
         residual_kind="probabilities" if measurements is not None else "expectations",
         residuals=residuals,
         measurement_entangled=entangled,
-        state_entangled=not is_product_vector(state, iso),
-        hermiticity_residuals={
-            pair: hermiticity_residual(operators[pair]) for pair in PAIR_ORDER
-        },
+        state_entangled=not is_product_vector(predictions.state, iso),
+        hermiticity_residuals=dict(predictions.hermiticity_residuals),
         chsh_from_model=bell_value.real,
         chsh_imag_residual=abs(bell_value.imag),
         tolerance=tol,
         iso=iso,
         passed=all(r <= tol for r in residuals.values()),
+    )
+
+
+def verify_model(
+    state: StateVector,
+    measurements: Mapping[SettingPair, Measurement],
+    data: Experiment,
+    tol: float,
+    iso: Isomorphism = CANONICAL_ISO,
+    product_tol: float = EXACT_TOL,
+) -> ModelVerdict:
+    """Check a construction given by its state and measurements against
+    the data tables: :func:`predict_model`, then :func:`verify_predictions`."""
+    operators = {p: measurements[p].operator for p in PAIR_ORDER}
+    return verify_predictions(
+        predict_model(state, measurements, operators), data, tol, iso, product_tol
     )

@@ -79,7 +79,10 @@ class CMatrix:
 
 def inner(u: CVector, v: CVector) -> complex:
     """Hermitian inner product <u|v>, conjugating the first argument."""
-    return sum((a.conjugate() * b for a, b in zip(u, v)), 0j)
+    total = 0j
+    for a, b in zip(u.amplitudes, v.amplitudes):
+        total += a.conjugate() * b
+    return total
 
 
 def apply(m: CMatrix, v: CVector) -> CVector:
@@ -88,9 +91,14 @@ def apply(m: CMatrix, v: CVector) -> CVector:
 
 
 def hermiticity_residual(m: CMatrix) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
+    """Largest entrywise deviation of ``m`` from its conjugate transpose.
+
+    Only entries with i <= j are scanned: |m_ij - conj(m_ji)| and
+    |m_ji - conj(m_ij)| are the same float, since the two differences are
+    conjugate negatives of each other and ``abs`` ignores both signs."""
+    rows = m.rows
     return max(
-        abs(m[i][j] - m[j][i].conjugate()) for i in range(DIM) for j in range(DIM)
+        abs(rows[i][j] - rows[j][i].conjugate()) for i in range(DIM) for j in range(i, DIM)
     )
 
 

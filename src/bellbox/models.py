@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .bell import ZooClass
@@ -30,10 +31,11 @@ from .hilbert import (
     CANONICAL_ISO,
     Isomorphism,
     Measurement,
+    ModelPredictions,
     ModelVerdict,
     StateVector,
-    operator_from_measurement,
-    verify_model,
+    predict_model,
+    verify_predictions,
 )
 from .linalg import CANONICAL_BASIS, CMatrix, CVector, inner
 from .tables import ENTRY_EPS, EXACT_TOL, Experiment, JointTable, SettingPair, normalize
@@ -77,6 +79,12 @@ class NamedModel:
     distributions.  ``product_tol`` decides when a measurement or operator
     counts as entangled.  ``alpha`` and ``beta`` are the phases the
     construction was built with (0 for one that has none).
+
+    The model is immutable, so what does not depend on the data or the
+    isomorphism (:attr:`predictions`) and its own reference data are
+    computed on first use and kept: each :meth:`verify` call adds only
+    the comparison with the data and the entanglement flags of its
+    isomorphism.
     """
 
     name: str
@@ -89,6 +97,14 @@ class NamedModel:
     alpha: float = 0.0
     beta: float = 0.0
 
+    @cached_property
+    def predictions(self) -> ModelPredictions:
+        return predict_model(self.state, self.measurements, self.operators)
+
+    @cached_property
+    def _fixture_experiment(self) -> Experiment:
+        return get_fixture(self.fixture_name).experiment
+
     def verify(
         self,
         data: Experiment | None = None,
@@ -96,13 +112,10 @@ class NamedModel:
         iso: Isomorphism = CANONICAL_ISO,
     ) -> ModelVerdict:
         if data is None:
-            data = get_fixture(self.fixture_name).experiment
+            data = self._fixture_experiment
         if tol is None:
             tol = self.tolerance
-        return verify_model(
-            self.state, self.measurements, data, tol, iso,
-            self.product_tol, self.operators,
-        )
+        return verify_predictions(self.predictions, data, tol, iso, self.product_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +328,7 @@ def _vessel_model(
         name=name,
         state=StateVector(state),
         measurements=measurements,
-        operators={p: operator_from_measurement(m) for p, m in measurements.items()},
+        operators={p: m.operator for p, m in measurements.items()},
         fixture_name="vessels",
         tolerance=EXACT_MODEL_TOL,
         alpha=alpha,

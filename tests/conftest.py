@@ -1,5 +1,26 @@
 import pathlib
 import sys
 
+import pytest
+
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the rest of
+    the test and returns a one-item list that holds its call count."""
+
+    def install(module, name):
+        calls = [0]
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

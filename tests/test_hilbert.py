@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from bellbox import hilbert
 from bellbox.hilbert import (
     CANONICAL_ISO,
     SWAPPED_ISO,
@@ -16,7 +17,6 @@ from bellbox.hilbert import (
     is_entangled_measurement,
     is_product_operator,
     is_product_vector,
-    max_minor_2x2,
     operator_from_measurement,
     realign,
     reshape,
@@ -31,8 +31,10 @@ from bellbox.linalg import (
 )
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
+    animal_acts_data,
     animal_acts_model,
     animal_acts_state,
+    basis_from_probabilities,
     vessels_alternative_model,
     vessels_data,
     vessels_model,
@@ -355,9 +357,10 @@ class TestProductOperator:
                     for _ in range(4)
                 ]
             )
-            r = realign(m)
             # minor-based and singular-value-based rank-1 detection agree
-            assert (max_minor_2x2(r) <= 1e-9) == (np_second_singular_value(r) <= 1e-9)
+            assert is_product_operator(m, tol=1e-9) == (
+                np_second_singular_value(realign(m)) <= 1e-9
+            )
 
     def test_vessel_bell_operator_not_product(self):
         bell = bell_operator(vessels_model(0.3, 0.8).operators)
@@ -456,6 +459,18 @@ class TestVerifyModel:
             tol=1e-9, iso=SWAPPED_ISO,
         )
         assert verdict.iso is SWAPPED_ISO
+
+    def test_measurements_build_their_operators_once(self, count_calls):
+        calls = count_calls(hilbert, "operator_from_measurement")
+        state = animal_acts_state()
+        data = animal_acts_data().experiment
+        measurements = {
+            pair: basis_from_probabilities(state, data.table(pair).values, pair)
+            for pair in PAIR_ORDER
+        }
+        for iso in (CANONICAL_ISO, SWAPPED_ISO):
+            assert verify_model(state, measurements, data, 1e-9, iso).passed
+        assert calls[0] == 4
 
 
 def _normalizes(tol):

@@ -125,6 +125,24 @@ class TestHermitian:
         rows[1][0] = 1j
         assert hermiticity_residual(CMatrix(rows)) > 1e-9
 
+    def test_upper_triangle_scan_equals_full_scan(self):
+        rng = random.Random(29)
+        for k in range(50):
+            raw = [
+                [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+                for _ in range(4)
+            ]
+            if k % 2:  # near-Hermitian, so the residual is a rounding-sized figure
+                raw = [
+                    [raw[i][j] + raw[j][i].conjugate() + rng.gauss(0, 1e-12) for j in range(4)]
+                    for i in range(4)
+                ]
+            m = CMatrix(raw)
+            full = max(
+                abs(m[i][j] - m[j][i].conjugate()) for i in range(4) for j in range(4)
+            )
+            assert hermiticity_residual(m).hex() == full.hex()
+
 
 class TestExpectation:
     def test_identity_gives_one(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bellbox import hilbert, models
 from bellbox.bell import ZooClass, chsh, classify
 from bellbox.hilbert import (
     CANONICAL_ISO,
@@ -11,6 +12,7 @@ from bellbox.hilbert import (
     StateVector,
     born_probabilities,
     is_entangled_measurement,
+    verify_model,
 )
 from bellbox.linalg import CVector, expectation, inner
 from bellbox.models import (
@@ -26,9 +28,15 @@ from bellbox.models import (
     vessels_model,
     vessels_separated_data,
 )
-from bellbox.tables import PAIR_ORDER, SettingPair, expectation_value, factorization_test
+from bellbox.tables import (
+    PAIR_ORDER,
+    Experiment,
+    SettingPair,
+    expectation_value,
+    factorization_test,
+)
 
-from oracles import random_unit_cvector
+from oracles import random_table, random_unit_cvector
 
 SQ = math.sqrt(0.5)
 
@@ -233,6 +241,140 @@ class TestModelFixturePairing:
     def test_get_model_unknown(self):
         with pytest.raises(ValueError):
             get_model("vessels-separated")
+
+
+def _verdict_hex(verdict):
+    """Every field of a verdict, floats by ``float.hex`` (so the sign of a
+    zero counts)."""
+    per_pair = tuple(
+        (
+            verdict.residuals[p].hex(),
+            verdict.measurement_entangled[p],
+            verdict.hermiticity_residuals[p].hex(),
+        )
+        for p in PAIR_ORDER
+    )
+    return (
+        verdict.residual_kind,
+        per_pair,
+        verdict.state_entangled,
+        verdict.chsh_from_model.hex(),
+        verdict.chsh_imag_residual.hex(),
+        verdict.tolerance.hex(),
+        verdict.iso,
+        verdict.passed,
+    )
+
+
+ISOS = (CANONICAL_ISO, SWAPPED_ISO)
+
+
+class TestVerifyOnce:
+    """A construction computes its predictions once; each verification
+    adds only the comparison with its data and its isomorphism's flags."""
+
+    def _counters(self, count_calls):
+        return {
+            name: count_calls(hilbert, name)
+            for name in (
+                "operator_from_measurement",
+                "born_probabilities",
+                "hermiticity_residual",
+                "bell_operator",
+                "is_product_operator",
+            )
+        }
+
+    def test_vessel_model_under_both_isomorphisms(self, count_calls):
+        calls = self._counters(count_calls)
+        model = vessels_model(0.3, 0.8)
+        for iso in ISOS:
+            model.verify(vessels_data().experiment, iso=iso)
+        counts = {name: c[0] for name, c in calls.items()}
+        assert counts == {
+            "operator_from_measurement": 4,
+            "born_probabilities": 4,
+            "hermiticity_residual": 4,
+            "bell_operator": 1,
+            "is_product_operator": 0,
+        }
+
+    def test_animal_acts_model_under_both_isomorphisms(self, count_calls):
+        calls = self._counters(count_calls)
+        model = animal_acts_model()
+        for iso in ISOS:
+            model.verify(animal_acts_data().experiment, iso=iso)
+        counts = {name: c[0] for name, c in calls.items()}
+        assert counts == {
+            "operator_from_measurement": 0,
+            "born_probabilities": 0,
+            "hermiticity_residual": 4,
+            "bell_operator": 1,
+            "is_product_operator": 8,
+        }
+
+    def test_fixture_built_once_per_model(self, count_calls):
+        calls = count_calls(models, "get_fixture")
+        model = vessels_model(0.1, 0.2)
+        verdicts = [model.verify(iso=iso) for iso in ISOS + ISOS]
+        assert calls[0] == 1
+        assert all(v.passed for v in verdicts)
+
+    def test_no_cached_value_leaks_across_data_or_tolerance(self):
+        builders = {
+            "vessels": lambda: vessels_model(0.3, 0.8),
+            "vessels-alt": lambda: vessels_alternative_model(-1.2, 0.4),
+            "animal-acts": animal_acts_model,
+        }
+        datasets = (vessels_data().experiment, vessels_separated_data().experiment)
+        for name, build in builders.items():
+            model = build()
+            for data in datasets:
+                for tol in (1e-9, 1.0):
+                    for iso in ISOS:
+                        fresh = build().verify(data, tol=tol, iso=iso)
+                        reused = model.verify(data, tol=tol, iso=iso)
+                        assert _verdict_hex(reused) == _verdict_hex(fresh), name
+
+    def test_reused_vessel_models_match_fresh_ones_bit_for_bit(self):
+        rng = random.Random(606)
+        data = vessels_data().experiment
+        phases = [(0.0, -0.0), (-0.0, 0.0)] + [
+            (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            for _ in range(8)
+        ]
+        for alpha, beta in phases:
+            for build in (vessels_model, vessels_alternative_model):
+                model = build(alpha, beta)
+                for iso in ISOS + ISOS:
+                    fresh = build(alpha, beta).verify(data, iso=iso)
+                    assert _verdict_hex(model.verify(data, iso=iso)) == _verdict_hex(fresh)
+
+    def test_reused_synthesized_models_match_fresh_ones_bit_for_bit(self):
+        rng = random.Random(607)
+        for _ in range(20):
+            state = StateVector(random_unit_cvector(rng))
+            data = Experiment.from_tables({pair: random_table(rng, pair) for pair in PAIR_ORDER})
+
+            def synthesize():
+                return {
+                    pair: basis_from_probabilities(state, data.table(pair).values, pair)
+                    for pair in PAIR_ORDER
+                }
+
+            measurements = synthesize()
+            for iso in ISOS + ISOS:
+                reused = verify_model(state, measurements, data, 1e-9, iso)
+                fresh = verify_model(state, synthesize(), data, 1e-9, iso)
+                assert _verdict_hex(reused) == _verdict_hex(fresh)
+
+    def test_verdicts_do_not_share_mutable_state_with_the_model(self):
+        model = vessels_model(0.5, 0.5)
+        first = model.verify()
+        first.hermiticity_residuals[SettingPair.AB] = 99.0
+        second = model.verify()
+        assert second.hermiticity_residuals[SettingPair.AB] != 99.0
+        assert model.predictions.hermiticity_residuals[SettingPair.AB] != 99.0
 
 
 class TestBasisFromProbabilities:
