@@ -20,10 +20,10 @@ than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
+from ._value import Value
 from .tables import (
     CLASS_TOL,
     PAIR_ORDER,
@@ -34,17 +34,22 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Value):
     """The three CHSH reference bounds (dimensionless)."""
 
-    classical: float = 2.0
-    tsirelson: float = 2.0 * math.sqrt(2.0)
-    algebraic: float = 4.0
+    _fields = ("classical", "tsirelson", "algebraic")
 
-    def __post_init__(self) -> None:
-        if not (self.classical < self.tsirelson < self.algebraic):
+    def __init__(
+        self,
+        classical: float = 2.0,
+        tsirelson: float = 2.0 * math.sqrt(2.0),
+        algebraic: float = 4.0,
+    ) -> None:
+        if not (classical < tsirelson < algebraic):
             raise ValueError("bounds must satisfy classical < tsirelson < algebraic")
+        object.__setattr__(self, "classical", classical)
+        object.__setattr__(self, "tsirelson", tsirelson)
+        object.__setattr__(self, "algebraic", algebraic)
 
 
 BOUNDS = Bounds()
@@ -86,8 +91,7 @@ class AmbiguousClassError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ChshResult:
+class ChshResult(NamedTuple):
     """CHSH value of an experiment.
 
     ``expectations`` maps each setting pair to its correlation E;

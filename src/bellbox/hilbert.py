@@ -8,15 +8,22 @@ array has rank one (vanishing determinant), and an operator is a product
 operator when its realignment has rank one.  Where the entanglement of a
 construction sits can change with the isomorphism, which is why it is an
 argument everywhere rather than a global convention.
+
+The two shipped isomorphisms cannot show such a change.
+:data:`SWAPPED_ISO` only exchanges the two tensor factors: it reshapes
+every vector into the transpose of its :data:`CANONICAL_ISO` array and
+realigns every operator into the transpose of its canonical realignment.
+A transpose has the same determinant and the same 2x2 minors, bit for bit,
+so every state, measurement and operator flag is the same under both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
+from ._value import Value
 from .linalg import (
     DIM,
     CMatrix,
@@ -36,16 +43,20 @@ from .tables import (
 COINCIDENCE_OUTCOMES = (1.0, -1.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(Value):
     """Assignment of each C^4 coordinate to a cell of a 2x2 array."""
 
-    name: str
-    cells: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
+    _fields = ("name", "cells")
 
-    def __post_init__(self) -> None:
-        if sorted(self.cells) != [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {self.cells}")
+    def __init__(
+        self,
+        name: str,
+        cells: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]],
+    ) -> None:
+        if sorted(cells) != [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {cells}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cells", cells)
 
 
 #: Index k goes to cell (k // 2, k % 2).
@@ -57,16 +68,16 @@ SWAPPED_ISO = Isomorphism("swapped", ((0, 0), (1, 0), (0, 1), (1, 1)))
 ISOMORPHISMS = {iso.name: iso for iso in (CANONICAL_ISO, SWAPPED_ISO)}
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Value):
     """A unit vector in C^4 (norm 1 within :data:`tables.EXACT_TOL`)."""
 
-    vector: CVector
+    _fields = ("vector",)
 
-    def __post_init__(self) -> None:
-        n = self.vector.norm()
+    def __init__(self, vector: CVector) -> None:
+        n = vector.norm()
         if abs(n - 1.0) > EXACT_TOL:
             raise ValueError(f"state norm {n!r} is not 1 within {EXACT_TOL}")
+        object.__setattr__(self, "vector", vector)
 
     @classmethod
     def of(cls, amplitudes: Sequence[object], normalize: bool = False) -> "StateVector":
@@ -83,36 +94,43 @@ def _vec(v: VectorLike) -> CVector:
     return v.vector if isinstance(v, StateVector) else v
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Value):
     """Four labeled orthonormal final states with their outcome values.
 
     Final states are kept in table cell order (11, 12, 21, 22) for the
     measurement's setting pair; the operator representation is recovered
     from the spectral form when needed, never the other way round (the
-    operators can have degenerate spectra).  The measurement is immutable,
-    so :attr:`operator` is built on first use and kept.
+    operators can have degenerate spectra).  Empty ``labels`` take the
+    pair's outcome labels.  The measurement is immutable, so
+    :attr:`operator` is built on first use and kept.
     """
 
-    pair: SettingPair
-    final_states: tuple[CVector, CVector, CVector, CVector]
-    outcomes: tuple[float, float, float, float] = COINCIDENCE_OUTCOMES
-    labels: tuple[str, str, str, str] = field(default=())  # type: ignore[assignment]
+    _fields = ("pair", "final_states", "outcomes", "labels")
 
-    def __post_init__(self) -> None:
-        if not self.labels:
-            object.__setattr__(self, "labels", self.pair.outcome_labels)
-        if len(set(self.labels)) != 4:
-            raise ValueError(f"outcome labels must be unique: {self.labels}")
+    def __init__(
+        self,
+        pair: SettingPair,
+        final_states: tuple[CVector, CVector, CVector, CVector],
+        outcomes: tuple[float, float, float, float] = COINCIDENCE_OUTCOMES,
+        labels: tuple[str, str, str, str] | tuple[()] = (),
+    ) -> None:
+        if not labels:
+            labels = pair.outcome_labels
+        if len(set(labels)) != 4:
+            raise ValueError(f"outcome labels must be unique: {labels}")
         for i in range(4):
             for j in range(i, 4):
-                overlap = abs(inner(self.final_states[i], self.final_states[j]))
+                overlap = abs(inner(final_states[i], final_states[j]))
                 want = 1.0 if i == j else 0.0
                 if abs(overlap - want) > EXACT_TOL:
                     raise ValueError(
-                        f"final states {self.labels[i]},{self.labels[j]} are not "
+                        f"final states {labels[i]},{labels[j]} are not "
                         f"orthonormal: |<i|j>| = {overlap!r}"
                     )
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "final_states", final_states)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "labels", labels)
 
     @cached_property
     def operator(self) -> CMatrix:
@@ -241,8 +259,7 @@ def is_entangled_measurement(
     )
 
 
-@dataclass(frozen=True)
-class ModelVerdict:
+class ModelVerdict(NamedTuple):
     """Outcome of checking a Hilbert-space construction against data.
 
     ``residual_kind`` records what was compared per measurement:
@@ -265,8 +282,7 @@ class ModelVerdict:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ModelPredictions:
+class ModelPredictions(NamedTuple):
     """What a construction predicts, whatever the data and the isomorphism.
 
     ``predicted`` holds per setting pair the Born probabilities in cell

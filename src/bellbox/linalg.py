@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._value import Value
 
 DIM = 4
 
 
-@dataclass(frozen=True, init=False)
-class CVector:
-    """Four complex amplitudes."""
+class CVector(Value):
+    """Four complex amplitudes, in ``amplitudes``."""
 
-    amplitudes: tuple[complex, complex, complex, complex]
+    _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
         amps = tuple(complex(z) for z in amplitudes)
@@ -59,11 +59,10 @@ CANONICAL_BASIS = tuple(
 )
 
 
-@dataclass(frozen=True, init=False)
-class CMatrix:
-    """A 4x4 complex matrix, stored row-major."""
+class CMatrix(Value):
+    """A 4x4 complex matrix, stored row-major in ``rows``."""
 
-    rows: tuple[tuple[complex, ...], ...]
+    _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
         mat = tuple(tuple(complex(z) for z in row) for row in rows)

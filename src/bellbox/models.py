@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
+from ._value import Value
 from .bell import ZooClass
 from .hilbert import (
     CANONICAL_ISO,
@@ -56,8 +56,7 @@ class InvalidTargetsError(ValueError):
     """Raised when target probabilities for a basis synthesis are invalid."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """A named reference experiment with its expected analysis results."""
 
     name: str
@@ -67,8 +66,7 @@ class Fixture:
     expected_class: ZooClass
 
 
-@dataclass(frozen=True)
-class NamedModel:
+class NamedModel(Value):
     """A named Hilbert-space construction paired with a reference fixture.
 
     ``measurements`` holds labeled final-state bases when the construction
@@ -87,15 +85,32 @@ class NamedModel:
     isomorphism.
     """
 
-    name: str
-    state: StateVector
-    measurements: Mapping[SettingPair, Measurement] | None
-    operators: Mapping[SettingPair, CMatrix]
-    fixture_name: str
-    tolerance: float
-    product_tol: float = EXACT_TOL
-    alpha: float = 0.0
-    beta: float = 0.0
+    _fields = (
+        "name", "state", "measurements", "operators", "fixture_name",
+        "tolerance", "product_tol", "alpha", "beta",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        state: StateVector,
+        measurements: Mapping[SettingPair, Measurement] | None,
+        operators: Mapping[SettingPair, CMatrix],
+        fixture_name: str,
+        tolerance: float,
+        product_tol: float = EXACT_TOL,
+        alpha: float = 0.0,
+        beta: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "measurements", measurements)
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "fixture_name", fixture_name)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "product_tol", product_tol)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @cached_property
     def predictions(self) -> ModelPredictions:

@@ -9,8 +9,7 @@ documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .bell import (
     AmbiguousClassError,
@@ -38,8 +37,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     chsh: ChshResult
     marginal_law: MarginalLawReport
     factorization: dict[SettingPair, FactorizationVerdict]

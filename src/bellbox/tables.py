@@ -10,9 +10,10 @@ provides expectation values, marginals, the marginal-distribution-law
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+from ._value import Value
 
 # Every tolerance behind a verdict (those of one built-in dataset are in models).
 #: Normalization: how far a raw table's sum may miss 1 (rounded tables).
@@ -85,8 +86,7 @@ PAIR_ORDER = (
 DEFAULT_SIDES = (("A", "A'"), ("B", "B'"))
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(Value):
     """The 2x2 joint outcome probabilities of one coincidence measurement.
 
     Cell order is (11, 12, 21, 22): first index for the first side's
@@ -95,21 +95,30 @@ class JointTable:
     :func:`normalize` to rescale raw values to an exact sum).
     """
 
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    pair: SettingPair = SettingPair.AB
+    _fields = ("p11", "p12", "p21", "p22", "pair")
 
-    def __post_init__(self) -> None:
-        for label, value in zip(self.pair.outcome_labels, self.values):
+    def __init__(
+        self,
+        p11: float,
+        p12: float,
+        p21: float,
+        p22: float,
+        pair: SettingPair = SettingPair.AB,
+    ) -> None:
+        values = (p11, p12, p21, p22)
+        for label, value in zip(pair.outcome_labels, values):
             if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
                 raise TableError(f"entry {label} = {value!r} is not a probability")
-        total = sum(self.values)
+        total = sum(values)
         if abs(total - 1.0) > DEFAULT_NORM_TOL:
             raise NotNormalizableError(
-                f"table {self.pair.label} sums to {total!r}, too far from 1"
+                f"table {pair.label} sums to {total!r}, too far from 1"
             )
+        object.__setattr__(self, "p11", p11)
+        object.__setattr__(self, "p12", p12)
+        object.__setattr__(self, "p21", p21)
+        object.__setattr__(self, "p22", p22)
+        object.__setattr__(self, "pair", pair)
 
     @property
     def values(self) -> tuple[float, float, float, float]:
@@ -118,10 +127,6 @@ class JointTable:
     @property
     def outcome_labels(self) -> tuple[str, str, str, str]:
         return self.pair.outcome_labels
-
-    def transposed(self, pair: SettingPair | None = None) -> "JointTable":
-        """Swap the roles of the two sides (cells 12 and 21 trade places)."""
-        return JointTable(self.p11, self.p21, self.p12, self.p22, pair or self.pair)
 
 
 def normalize(
@@ -157,20 +162,25 @@ def normalize(
     return JointTable(*(v / total for v in vals), pair=pair)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """Four joint tables, one per setting pair, plus side labels."""
+class Experiment(Value):
+    """Four joint tables, one per setting pair in :data:`PAIR_ORDER`, plus
+    side labels."""
 
-    tables: tuple[JointTable, JointTable, JointTable, JointTable]
-    sides: tuple[tuple[str, str], tuple[str, str]] = DEFAULT_SIDES
+    _fields = ("tables", "sides")
 
-    def __post_init__(self) -> None:
-        pairs = tuple(t.pair for t in self.tables)
+    def __init__(
+        self,
+        tables: tuple[JointTable, JointTable, JointTable, JointTable],
+        sides: tuple[tuple[str, str], tuple[str, str]] = DEFAULT_SIDES,
+    ) -> None:
+        pairs = tuple(t.pair for t in tables)
         if pairs != PAIR_ORDER:
             raise TableError(
                 f"tables must appear in order {[p.label for p in PAIR_ORDER]}, "
                 f"got {[p.label for p in pairs]}"
             )
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "sides", sides)
 
     @classmethod
     def from_tables(
@@ -186,18 +196,6 @@ class Experiment:
     def table(self, pair: SettingPair) -> JointTable:
         return self.tables[PAIR_ORDER.index(pair)]
 
-    def swap_sides(self) -> "Experiment":
-        """Relabel which side is 'first': transpose every table and swap
-        the AB'/A'B roles accordingly."""
-        mapping = {
-            SettingPair.AB: self.table(SettingPair.AB),
-            SettingPair.AB_PRIME: self.table(SettingPair.A_PRIME_B),
-            SettingPair.A_PRIME_B: self.table(SettingPair.AB_PRIME),
-            SettingPair.A_PRIME_B_PRIME: self.table(SettingPair.A_PRIME_B_PRIME),
-        }
-        swapped = {p: t.transposed(p) for p, t in mapping.items()}
-        return Experiment.from_tables(swapped, sides=(self.sides[1], self.sides[0]))
-
 
 def expectation_value(table: JointTable) -> float:
     """Correlation E = p11 - p12 - p21 + p22 for +-1 outcome values."""
@@ -211,8 +209,7 @@ def marginals(table: JointTable) -> tuple[tuple[float, float], tuple[float, floa
     return first, second
 
 
-@dataclass(frozen=True)
-class MarginalComparison:
+class MarginalComparison(NamedTuple):
     """One side's marginal under a fixed setting, compared across the two
     tables that share that setting."""
 
@@ -225,8 +222,7 @@ class MarginalComparison:
     holds: bool
 
 
-@dataclass(frozen=True)
-class MarginalLawReport:
+class MarginalLawReport(NamedTuple):
     comparisons: tuple[MarginalComparison, ...]
     tol: float
     holds: bool
@@ -269,8 +265,7 @@ def marginal_law_report(experiment: Experiment, tol: float = CLASS_TOL) -> Margi
     )
 
 
-@dataclass(frozen=True)
-class Factors:
+class Factors(NamedTuple):
     """Normalized one-sided probabilities with a + a' = 1 and b + b' = 1."""
 
     a: float
@@ -279,8 +274,7 @@ class Factors:
     b_prime: float
 
 
-@dataclass(frozen=True)
-class FactorizationVerdict:
+class FactorizationVerdict(NamedTuple):
     factorizable: bool
     factors: Factors | None
     residual: float
@@ -302,12 +296,3 @@ def factorization_test(table: JointTable, tol: float = EXACT_TOL) -> Factorizati
     (a, a_prime), (b, b_prime) = marginals(table)
     return FactorizationVerdict(True, Factors(a, b, a_prime, b_prime), residual)
 
-
-def outer_product_table(
-    first: tuple[float, float],
-    second: tuple[float, float],
-    pair: SettingPair = SettingPair.AB,
-) -> JointTable:
-    """Table built from independent one-sided distributions."""
-    (a, a2), (b, b2) = first, second
-    return JointTable(a * b, a * b2, a2 * b, a2 * b2, pair)

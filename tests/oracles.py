@@ -283,3 +283,31 @@ def random_outer_product_table(
 ) -> JointTable:
     a, b = rng.random(), rng.random()
     return JointTable(a * b, a * (1 - b), (1 - a) * b, (1 - a) * (1 - b), pair=pair)
+
+
+def outer_product_table(
+    first: tuple[float, float],
+    second: tuple[float, float],
+    pair: SettingPair = SettingPair.AB,
+) -> JointTable:
+    """Table built from independent one-sided distributions."""
+    (a, a2), (b, b2) = first, second
+    return JointTable(a * b, a * b2, a2 * b, a2 * b2, pair)
+
+
+def swap_sides(experiment: Experiment) -> Experiment:
+    """The same experiment with the second side read as the first: each
+    table is transposed (cells 12 and 21 trade places), the AB' and A'B
+    tables trade roles, and the side labels swap."""
+    source = {
+        SettingPair.AB: SettingPair.AB,
+        SettingPair.AB_PRIME: SettingPair.A_PRIME_B,
+        SettingPair.A_PRIME_B: SettingPair.AB_PRIME,
+        SettingPair.A_PRIME_B_PRIME: SettingPair.A_PRIME_B_PRIME,
+    }
+    tables = {}
+    for pair, origin in source.items():
+        p11, p12, p21, p22 = experiment.table(origin).values
+        tables[pair] = JointTable(p11, p21, p12, p22, pair)
+    first, second = experiment.sides
+    return Experiment.from_tables(tables, sides=(second, first))

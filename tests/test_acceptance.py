@@ -35,13 +35,13 @@ from bellbox.tables import (
     SettingPair,
     expectation_value,
     factorization_test,
-    outer_product_table,
 )
 
 from oracles import (
     alternative_ab_operator_reference,
     lattice_factorization_oracle,
     np_max_entry_difference,
+    outer_product_table,
     random_outer_product_table,
     random_table,
     random_unit_cvector,

@@ -242,6 +242,23 @@ class TestModelFixturePairing:
         with pytest.raises(ValueError):
             get_model("vessels-separated")
 
+    def test_shipped_isomorphisms_give_the_same_flags(self):
+        # SWAPPED_ISO transposes every reshaped vector and every
+        # realignment, which keeps each determinant and minor: the two
+        # verdicts of a construction differ in their iso and nothing else
+        rng = random.Random(1105)
+        phases = [(0.3, 1.1)] + [
+            (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            for _ in range(9)
+        ]
+        for name in ("animal-acts", "vessels", "vessels-alt"):
+            for alpha, beta in phases:
+                model = get_model(name, alpha, beta)
+                canonical = model.verify(iso=CANONICAL_ISO)
+                swapped = model.verify(iso=SWAPPED_ISO)
+                assert swapped.iso is SWAPPED_ISO
+                assert canonical._replace(iso=SWAPPED_ISO) == swapped, (name, alpha, beta)
+
 
 def _verdict_hex(verdict):
     """Every field of a verdict, floats by ``float.hex`` (so the sign of a

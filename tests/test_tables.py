@@ -16,11 +16,15 @@ from bellbox.tables import (
     marginal_law_report,
     marginals,
     normalize,
-    outer_product_table,
 )
 from bellbox.models import animal_acts_data, vessels_data
 
-from oracles import lattice_factorization_oracle, random_outer_product_table, random_table
+from oracles import (
+    lattice_factorization_oracle,
+    outer_product_table,
+    random_outer_product_table,
+    random_table,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -234,21 +238,3 @@ class TestExperiment:
         tables[0], tables[1] = tables[1], tables[0]
         with pytest.raises(TableError):
             Experiment(tuple(tables))
-
-    def test_swap_sides_round_trip(self):
-        e = animal_acts_data().experiment
-        assert e.swap_sides().swap_sides() == e
-
-    def test_swap_sides_transposes(self):
-        e = vessels_data().experiment
-        swapped = e.swap_sides()
-        # the AB' table of the swapped experiment is the transposed A'B table
-        original = e.table(SettingPair.A_PRIME_B)
-        exchanged = swapped.table(SettingPair.AB_PRIME)
-        assert exchanged.values == (
-            original.p11,
-            original.p21,
-            original.p12,
-            original.p22,
-        )
-        assert swapped.sides == (("B", "B'"), ("A", "A'"))

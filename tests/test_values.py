@@ -1,0 +1,455 @@
+"""Value semantics of bellbox's immutable types.
+
+Every record and value class keeps its constructor (by position and by
+keyword, with the same defaults), refuses assignment and deletion, and
+compares by its fields; the validating ones keep their error types and
+messages.
+"""
+
+import copy
+import inspect
+import math
+import pickle
+import re
+
+import pytest
+
+from bellbox.bell import Bounds, ChshResult, ZooClass
+from bellbox.hilbert import (
+    CANONICAL_ISO,
+    COINCIDENCE_OUTCOMES,
+    SWAPPED_ISO,
+    Isomorphism,
+    Measurement,
+    ModelPredictions,
+    ModelVerdict,
+    StateVector,
+)
+from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
+from bellbox.models import Fixture, NamedModel
+from bellbox.report import Report
+from bellbox.tables import (
+    DEFAULT_SIDES,
+    EXACT_TOL,
+    PAIR_ORDER,
+    Experiment,
+    FactorizationVerdict,
+    Factors,
+    JointTable,
+    MarginalComparison,
+    MarginalLawReport,
+    NotNormalizableError,
+    SettingPair,
+    TableError,
+)
+
+AB, AB_PRIME = SettingPair.AB, SettingPair.AB_PRIME
+E0, E1, E2, E3 = CANONICAL_BASIS
+
+
+def _tables(shift=0.0):
+    return tuple(JointTable(0.1 + shift, 0.2, 0.3, 0.4 - shift, p) for p in PAIR_ORDER)
+
+
+def _experiment(shift=0.0):
+    return Experiment(_tables(shift))
+
+
+def _state(k=0):
+    return StateVector(CANONICAL_BASIS[k])
+
+
+def _measurement(pair=AB):
+    return Measurement(pair, CANONICAL_BASIS)
+
+
+def _matrix(scale=1.0):
+    return CMatrix([[scale if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+class Case:
+    """How to build one type twice: ``base`` and ``other`` map every field
+    to a value (zero-argument callables are called, so each construction
+    gets fresh objects); ``other`` differs from ``base`` in every field and
+    may replace any one of them.  ``defaults`` are the values that omitted
+    trailing arguments take."""
+
+    def __init__(self, cls, base, other, defaults=None, hashable=True):
+        self.cls, self.base, self.other = cls, base, other
+        self.defaults = defaults or {}
+        self.hashable = hashable
+
+    def fields(self, **override):
+        values = {**self.base, **override}
+        return {k: v() if callable(v) else v for k, v in values.items()}
+
+    def build(self, **override):
+        return self.cls(**self.fields(**override))
+
+    def __repr__(self):
+        return self.cls.__name__
+
+
+CASES = [
+    Case(
+        CVector,
+        {"amplitudes": lambda: (1 + 0j, 0j, 0j, 0j)},
+        {"amplitudes": lambda: (0j, 1 + 0j, 0j, 0j)},
+    ),
+    Case(CMatrix, {"rows": lambda: _matrix().rows}, {"rows": lambda: _matrix(2.0).rows}),
+    Case(
+        JointTable,
+        {"p11": 0.1, "p12": 0.2, "p21": 0.3, "p22": 0.4, "pair": AB},
+        {"p11": 0.101, "p12": 0.201, "p21": 0.301, "p22": 0.401, "pair": AB_PRIME},
+        defaults={"pair": AB},
+    ),
+    Case(
+        Experiment,
+        {"tables": _tables, "sides": DEFAULT_SIDES},
+        {"tables": lambda: _tables(0.05), "sides": (("X", "X'"), ("Y", "Y'"))},
+        defaults={"sides": DEFAULT_SIDES},
+    ),
+    Case(
+        Bounds,
+        {"classical": 2.0, "tsirelson": 2.0 * math.sqrt(2.0), "algebraic": 4.0},
+        {"classical": 1.5, "tsirelson": 3.0, "algebraic": 4.5},
+        defaults={"classical": 2.0, "tsirelson": 2.0 * math.sqrt(2.0), "algebraic": 4.0},
+    ),
+    Case(
+        Isomorphism,
+        {"name": "canonical", "cells": CANONICAL_ISO.cells},
+        {"name": "swapped", "cells": SWAPPED_ISO.cells},
+    ),
+    Case(StateVector, {"vector": lambda: CVector([1, 0, 0, 0])}, {"vector": lambda: CVector([0, 1, 0, 0])}),
+    Case(
+        Measurement,
+        {
+            "pair": AB,
+            "final_states": lambda: tuple(CVector(v) for v in CANONICAL_BASIS),
+            "outcomes": COINCIDENCE_OUTCOMES,
+            "labels": AB.outcome_labels,
+        },
+        {
+            "pair": AB_PRIME,
+            "final_states": (E1, E0, E2, E3),
+            "outcomes": (1.0, 1.0, -1.0, -1.0),
+            "labels": ("w", "x", "y", "z"),
+        },
+        defaults={"outcomes": COINCIDENCE_OUTCOMES, "labels": AB.outcome_labels},
+    ),
+    Case(
+        NamedModel,
+        {
+            "name": "m",
+            "state": _state,
+            "measurements": lambda: {p: _measurement(p) for p in PAIR_ORDER},
+            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
+            "fixture_name": "vessels",
+            "tolerance": 1e-9,
+            "product_tol": EXACT_TOL,
+            "alpha": 0.0,
+            "beta": 0.0,
+        },
+        {
+            "name": "n",
+            "state": lambda: _state(1),
+            "measurements": None,
+            "operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER},
+            "fixture_name": "animal-acts",
+            "tolerance": 0.03,
+            "product_tol": 0.05,
+            "alpha": 0.3,
+            "beta": 1.1,
+        },
+        defaults={"product_tol": EXACT_TOL, "alpha": 0.0, "beta": 0.0},
+        hashable=False,
+    ),
+    Case(
+        MarginalComparison,
+        {
+            "side": "first",
+            "setting": "A",
+            "pairs": (AB, AB_PRIME),
+            "marginal_a": (0.5, 0.5),
+            "marginal_b": (1.0, 0.0),
+            "differences": (0.5, 0.5),
+            "holds": False,
+        },
+        {
+            "side": "second",
+            "setting": "B",
+            "pairs": (AB, SettingPair.A_PRIME_B),
+            "marginal_a": (0.25, 0.75),
+            "marginal_b": (0.25, 0.75),
+            "differences": (0.0, 0.0),
+            "holds": True,
+        },
+    ),
+    Case(
+        MarginalLawReport,
+        {"comparisons": (), "tol": 1e-6, "holds": True},
+        {"comparisons": (None,), "tol": 1e-3, "holds": False},
+    ),
+    Case(
+        Factors,
+        {"a": 0.1, "b": 0.2, "a_prime": 0.9, "b_prime": 0.8},
+        {"a": 0.3, "b": 0.4, "a_prime": 0.7, "b_prime": 0.6},
+    ),
+    Case(
+        FactorizationVerdict,
+        {"factorizable": True, "factors": lambda: Factors(0.1, 0.2, 0.9, 0.8), "residual": 0.0},
+        {"factorizable": False, "factors": None, "residual": 0.25},
+    ),
+    Case(
+        ChshResult,
+        {
+            "expectations": lambda: {p: 1.0 for p in PAIR_ORDER},
+            "reference_combination": 2.0,
+            "max_abs_over_variants": 2.0,
+            "variant_signs": lambda: {p: 1 for p in PAIR_ORDER},
+        },
+        {
+            "expectations": lambda: {p: 0.5 for p in PAIR_ORDER},
+            "reference_combination": 1.0,
+            "max_abs_over_variants": 1.5,
+            "variant_signs": lambda: {p: -1 for p in PAIR_ORDER},
+        },
+        hashable=False,
+    ),
+    Case(
+        ModelVerdict,
+        {
+            "residual_kind": "probabilities",
+            "residuals": lambda: {p: 0.0 for p in PAIR_ORDER},
+            "measurement_entangled": lambda: {p: False for p in PAIR_ORDER},
+            "state_entangled": True,
+            "hermiticity_residuals": lambda: {p: 0.0 for p in PAIR_ORDER},
+            "chsh_from_model": 4.0,
+            "chsh_imag_residual": 0.0,
+            "tolerance": 1e-9,
+            "iso": CANONICAL_ISO,
+            "passed": True,
+        },
+        {
+            "residual_kind": "expectations",
+            "residuals": lambda: {p: 0.5 for p in PAIR_ORDER},
+            "measurement_entangled": lambda: {p: True for p in PAIR_ORDER},
+            "state_entangled": False,
+            "hermiticity_residuals": lambda: {p: 0.1 for p in PAIR_ORDER},
+            "chsh_from_model": 2.0,
+            "chsh_imag_residual": 0.1,
+            "tolerance": 0.03,
+            "iso": SWAPPED_ISO,
+            "passed": False,
+        },
+        hashable=False,
+    ),
+    Case(
+        ModelPredictions,
+        {
+            "state": _state,
+            "measurements": None,
+            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
+            "predicted": lambda: {p: 1.0 for p in PAIR_ORDER},
+            "hermiticity_residuals": lambda: {p: 0.0 for p in PAIR_ORDER},
+            "bell_value": 2 + 0j,
+        },
+        {
+            "state": lambda: _state(1),
+            "measurements": lambda: {p: _measurement(p) for p in PAIR_ORDER},
+            "operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER},
+            "predicted": lambda: {p: (0.25, 0.25, 0.25, 0.25) for p in PAIR_ORDER},
+            "hermiticity_residuals": lambda: {p: 0.5 for p in PAIR_ORDER},
+            "bell_value": 4 + 1j,
+        },
+        hashable=False,
+    ),
+    Case(
+        Fixture,
+        {
+            "name": "f",
+            "experiment": _experiment,
+            "expected_chsh": 2.0,
+            "chsh_tol": 1e-12,
+            "expected_class": ZooClass.KOLMOGOROVIAN_COMPATIBLE,
+        },
+        {
+            "name": "g",
+            "experiment": lambda: _experiment(0.05),
+            "expected_chsh": 4.0,
+            "chsh_tol": 1e-6,
+            "expected_class": ZooClass.NONLOCAL_BOX,
+        },
+    ),
+    Case(
+        Report,
+        {
+            "chsh": None,
+            "marginal_law": None,
+            "factorization": lambda: {p: None for p in PAIR_ORDER},
+            "zoo_class": ZooClass.NONLOCAL_BOX,
+            "zoo_error": None,
+            "model": None,
+        },
+        {
+            "chsh": 1,
+            "marginal_law": 2,
+            "factorization": dict,
+            "zoo_class": None,
+            "zoo_error": "unresolved",
+            "model": (1, 2),
+        },
+        hashable=False,
+    ),
+]
+
+
+def test_every_former_dataclass_is_covered():
+    assert len({case.cls for case in CASES}) == 18
+
+
+@pytest.mark.parametrize("case", CASES, ids=repr)
+class TestValueSemantics:
+    def test_position_and_keyword_construct_the_same_value(self, case):
+        fields = case.fields()
+        by_position = case.cls(*fields.values())
+        by_keyword = case.cls(**fields)
+        assert by_position == by_keyword
+        for name, value in fields.items():
+            assert getattr(by_keyword, name) == value
+
+    def test_defaults(self, case):
+        fields = case.fields()
+        required = [name for name in fields if name not in case.defaults]
+        value = case.cls(*(fields[name] for name in required))
+        for name, default in case.defaults.items():
+            assert getattr(value, name) == default
+
+    def test_fields_cannot_be_assigned_or_deleted(self, case):
+        value = case.build()
+        for name in case.base:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert name in dir(value)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+
+    def test_equal_fields_give_equal_values(self, case):
+        first, second = case.build(), case.build()
+        assert first == second and not first != second
+        if case.hashable:
+            assert hash(first) == hash(second)
+        else:
+            with pytest.raises(TypeError):
+                hash(first)
+
+    def test_each_differing_field_makes_values_unequal(self, case):
+        base = case.build()
+        for name, value in case.other.items():
+            changed = case.build(**{name: value})
+            assert base != changed and not base == changed, name
+
+    def test_copies_and_pickles_are_equal(self, case):
+        value = case.build()
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_repr_names_the_fields(self, case):
+        text = repr(case.build())
+        assert text.startswith(f"{case.cls.__name__}(")
+        assert all(f"{name}=" in text for name in case.base)
+
+
+def test_values_of_different_classes_are_unequal():
+    assert StateVector(E0) != E0
+    assert CVector(E0) != CMatrix(_matrix().rows)
+    assert JointTable(0.25, 0.25, 0.25, 0.25) != (0.25, 0.25, 0.25, 0.25, AB)
+
+
+def test_cached_values_take_no_part_in_equality():
+    fresh, used = _measurement(), _measurement()
+    assert used.operator is used.operator
+    assert fresh == used and hash(fresh) == hash(used)
+    case = next(c for c in CASES if c.cls is NamedModel)
+    fresh, used = case.build(), case.build()
+    assert used.predictions is used.predictions
+    assert fresh == used
+
+
+def test_measurement_labels_default_to_the_pair_labels():
+    assert Measurement(AB_PRIME, CANONICAL_BASIS).labels == AB_PRIME.outcome_labels
+    assert Measurement(AB_PRIME, CANONICAL_BASIS, labels=()).labels == AB_PRIME.outcome_labels
+
+
+@pytest.mark.parametrize("cls", [CVector, CMatrix, JointTable])
+def test_counted_constructors_define_their_own_init(cls):
+    # the benchmark's tracer wraps exactly this function to count constructions
+    assert inspect.isfunction(cls.__dict__["__init__"])
+
+
+def _raises(error, message):
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
+class TestValidationMessages:
+    def test_joint_table_entries(self):
+        with _raises(TableError, "entry A1B1 = 1.5 is not a probability"):
+            JointTable(1.5, 0, 0, 0)
+        with _raises(TableError, "entry A'2B'1 = -0.5 is not a probability"):
+            JointTable(0.5, 0.5, -0.5, 0.5, SettingPair.A_PRIME_B_PRIME)
+
+    def test_joint_table_sum(self):
+        with _raises(NotNormalizableError, "table AB' sums to 1.5, too far from 1"):
+            JointTable(0.5, 0.5, 0.5, 0, AB_PRIME)
+
+    def test_experiment_order(self):
+        with _raises(
+            TableError,
+            "tables must appear in order ['AB', \"AB'\", \"A'B\", \"A'B'\"], "
+            "got [\"AB'\", 'AB', \"A'B\", \"A'B'\"]",
+        ):
+            tables = _tables()
+            Experiment((tables[1], tables[0], tables[2], tables[3]))
+
+    def test_bounds_ordering(self):
+        with _raises(ValueError, "bounds must satisfy classical < tsirelson < algebraic"):
+            Bounds(2.0, 1.0, 4.0)
+        with _raises(ValueError, "bounds must satisfy classical < tsirelson < algebraic"):
+            Bounds(algebraic=math.nan)
+
+    def test_isomorphism_cells(self):
+        with _raises(
+            ValueError, "cells must be a bijection onto {0,1}^2: ((0, 0), (0, 0), (1, 0), (1, 1))"
+        ):
+            Isomorphism("bad", ((0, 0), (0, 0), (1, 0), (1, 1)))
+
+    def test_state_norm(self):
+        with _raises(ValueError, "state norm 1.4142135623730951 is not 1 within 1e-09"):
+            StateVector(CVector([1, 1, 0, 0]))
+
+    def test_measurement_labels(self):
+        with _raises(ValueError, "outcome labels must be unique: ('a', 'a', 'b', 'c')"):
+            Measurement(AB, CANONICAL_BASIS, labels=("a", "a", "b", "c"))
+
+    def test_measurement_orthonormality(self):
+        with _raises(ValueError, "final states A1B1,A1B2 are not orthonormal: |<i|j>| = 1.0"):
+            Measurement(AB, (E0, E0, E2, E3))
+        with _raises(ValueError, "final states w,w are not orthonormal: |<i|j>| = 4.0"):
+            Measurement(AB, (E0.scaled(2), E1, E2, E3), labels=("w", "x", "y", "z"))
+
+    def test_cvector_shape_and_finiteness(self):
+        with _raises(ValueError, "expected 4 finite amplitudes, got ((1+0j), 0j, 0j)"):
+            CVector([1, 0, 0])
+        with _raises(ValueError, "expected 4 finite amplitudes, got ((1+0j), 0j, 0j, (nan+0j))"):
+            CVector([1, 0, 0, math.nan])
+
+    def test_cmatrix_shape_and_finiteness(self):
+        with _raises(ValueError, "expected a 4x4 matrix of finite entries"):
+            CMatrix([[1, 0, 0, 0]] * 3)
+        with _raises(ValueError, "expected a 4x4 matrix of finite entries"):
+            CMatrix([[1, 0, 0]] * 4)
+        with _raises(ValueError, "expected a 4x4 matrix of finite entries"):
+            CMatrix([[1, 0, 0, math.inf]] * 4)
