@@ -22,6 +22,7 @@ exactly, so written files reproduce the in-memory tables bit for bit.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -51,15 +52,21 @@ class _RepeatedKeys(dict):
     key: str
 
 
-def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """JSON object hook that marks an object whose keys repeat."""
-    obj = dict(pairs)
-    if len(obj) == len(pairs):
+def _parse(text: str) -> tuple[Any, bool]:
+    """The JSON document in ``text``, and whether any of its objects repeats
+    a key; each such object is parsed as a :class:`_RepeatedKeys`."""
+    repeats = []
+
+    def parse_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _value in pairs]
+            obj = _RepeatedKeys(obj)
+            obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+            repeats.append(obj)
         return obj
-    keys = [key for key, _value in pairs]
-    repeated = _RepeatedKeys(obj)
-    repeated.key = next(key for i, key in enumerate(keys) if key in keys[:i])
-    return repeated
+
+    return json.loads(text, object_pairs_hook=parse_object), bool(repeats)
 
 
 def _find_repeated(node: dict | list, where: str) -> tuple[str, str] | None:
@@ -74,6 +81,59 @@ def _find_repeated(node: dict | list, where: str) -> tuple[str, str] | None:
             if found is not None:
                 return found
     return None
+
+
+#: Indentation (line break included) past which ``_indented_json`` leaves a
+#: node to ``json.dumps``: 32 levels, far below the recursion limit.
+_MAX_INDENT = 1 + 2 * 32
+
+
+def _indented_json(node: Any, newline: str = "\n") -> str:
+    """``json.dumps(node, indent=2)``, byte for byte.
+
+    Before Python 3.13, ``json`` encodes indented output with pure-Python
+    generators.  This writes the nodes bellbox builds (``str``, ``bool``,
+    ``None``, ``int``, lists, and dicts with ``str`` keys) itself, quoting
+    strings with the C function ``json`` uses.  Any other node, such as a
+    float, a tuple or an ``int`` key in the caller's metadata, goes to
+    ``json.dumps`` and is re-indented, which is exact because a JSON string
+    holds no raw newline; so are nodes nested deeper than any file or report
+    bellbox writes, which lets ``json.dumps`` report a circular reference.
+    ``newline`` is a line break followed by the indentation of ``node``.
+    """
+    cls = node.__class__
+    if cls is str:
+        return _quote(node)
+    if cls is dict or cls is list:
+        if not node:
+            return "{}" if cls is dict else "[]"
+        if len(newline) <= _MAX_INDENT:
+            inner = newline + "  "
+            if cls is list:
+                items = [
+                    _quote(v) if v.__class__ is str else _indented_json(v, inner) for v in node
+                ]
+                return "[" + inner + ("," + inner).join(items) + newline + "]"
+            items = []
+            for key, value in node.items():
+                if key.__class__ is not str:
+                    break
+                items.append(
+                    _quote(key)
+                    + ": "
+                    + (_quote(value) if value.__class__ is str else _indented_json(value, inner))
+                )
+            else:
+                return "{" + inner + ("," + inner).join(items) + newline + "}"
+    elif node is None:
+        return "null"
+    elif node is True:
+        return "true"
+    elif node is False:
+        return "false"
+    elif cls is int:
+        return int.__repr__(node)
+    return json.dumps(node, indent=2).replace("\n", newline)
 
 
 def write_experiment(
@@ -100,7 +160,7 @@ def write_experiment(
         },
         "metadata": dict(metadata) if metadata else {},
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_indented_json(doc) + "\n", encoding="utf-8")
 
 
 def read_experiment(
@@ -112,15 +172,14 @@ def read_experiment(
     except OSError as exc:
         raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc, repeats = _parse(text)
     except json.JSONDecodeError as exc:
         raise _fail(path, f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
 
     if not isinstance(doc, dict):
         raise _fail(path, "document", "top level must be a JSON object")
-    repeated = _find_repeated(doc, "document")
-    if repeated is not None:
-        where, key = repeated
+    if repeats:
+        where, key = _find_repeated(doc, "document")
         raise _fail(path, where, f"duplicate key {key!r}")
     version = doc.get("version")
     if version != FORMAT_VERSION:

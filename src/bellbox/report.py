@@ -8,7 +8,6 @@ documents.
 
 from __future__ import annotations
 
-import json
 from typing import Any, NamedTuple
 
 from .bell import (
@@ -20,6 +19,7 @@ from .bell import (
     chsh,
     decide_class,
 )
+from .expfile import _indented_json
 from .hilbert import ModelVerdict
 from .models import NamedModel
 from .tables import (
@@ -143,7 +143,7 @@ def render_machine(report: Report) -> str:
         "zoo_error": report.zoo_error,
         "model": _model_payload(*report.model) if report.model else None,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _indented_json(payload) + "\n"
 
 
 def render_text(report: Report) -> str:

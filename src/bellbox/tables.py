@@ -38,33 +38,53 @@ class NotNormalizableError(TableError):
     pass
 
 
+#: The attributes a :class:`SettingPair` member computes once.
+_DERIVED = frozenset(("label", "first", "second", "outcome_labels"))
+
+
 class SettingPair(Enum):
-    """One of the four setting combinations of a CHSH-type experiment."""
+    """One of the four setting combinations of a CHSH-type experiment.
+
+    Each member carries, read-only: ``label`` (its value, as in ``A'B``),
+    ``first`` and ``second`` (the settings A or A' and B or B') and
+    ``outcome_labels`` (the cell labels in table order 11, 12, 21, 22, as in
+    ``A'1B2``).  They are computed once, when the member is made.
+    """
 
     AB = "AB"
     AB_PRIME = "AB'"
     A_PRIME_B = "A'B"
     A_PRIME_B_PRIME = "A'B'"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    label: str
+    first: str
+    second: str
+    outcome_labels: tuple[str, str, str, str]
 
-    @property
-    def first(self) -> str:
-        """Name of the first-side setting (A or A')."""
-        return "A'" if self in (SettingPair.A_PRIME_B, SettingPair.A_PRIME_B_PRIME) else "A"
+    def __init__(self, label: str) -> None:
+        split = label.index("B")
+        first, second = label[:split], label[split:]
+        vars(self).update(
+            label=label,
+            first=first,
+            second=second,
+            outcome_labels=tuple(
+                f"{first}{i}{second}{j}" for i, j in ((1, 1), (1, 2), (2, 1), (2, 2))
+            ),
+        )
 
-    @property
-    def second(self) -> str:
-        """Name of the second-side setting (B or B')."""
-        return "B'" if self in (SettingPair.AB_PRIME, SettingPair.A_PRIME_B_PRIME) else "B"
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _DERIVED:
+            raise AttributeError(f"cannot assign to {name!r}")
+        super().__setattr__(name, value)
 
-    @property
-    def outcome_labels(self) -> tuple[str, str, str, str]:
-        """Cell labels in table order: 11, 12, 21, 22."""
-        f, s = self.first, self.second
-        return (f"{f}1{s}1", f"{f}1{s}2", f"{f}2{s}1", f"{f}2{s}2")
+    def __delattr__(self, name: str) -> None:
+        if name in _DERIVED:
+            raise AttributeError(f"cannot delete {name!r}")
+        super().__delattr__(name)
+
+    # members are singletons and compare by identity
+    __hash__ = object.__hash__
 
     @classmethod
     def from_label(cls, text: str) -> "SettingPair":
@@ -164,15 +184,16 @@ def normalize(
 
 class Experiment(Value):
     """Four joint tables, one per setting pair in :data:`PAIR_ORDER`, plus
-    side labels."""
+    side labels; both are stored as tuples, whatever sequences they came in."""
 
     _fields = ("tables", "sides")
 
     def __init__(
         self,
-        tables: tuple[JointTable, JointTable, JointTable, JointTable],
-        sides: tuple[tuple[str, str], tuple[str, str]] = DEFAULT_SIDES,
+        tables: Sequence[JointTable],
+        sides: Sequence[Sequence[str]] = DEFAULT_SIDES,
     ) -> None:
+        tables = tuple(tables)
         pairs = tuple(t.pair for t in tables)
         if pairs != PAIR_ORDER:
             raise TableError(
@@ -180,7 +201,7 @@ class Experiment(Value):
                 f"got {[p.label for p in pairs]}"
             )
         object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "sides", tuple(map(tuple, sides)))
 
     @classmethod
     def from_tables(

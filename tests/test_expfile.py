@@ -151,3 +151,38 @@ def test_non_string_side_label_rejected(tmp_path):
     doc["sides"]["first"] = ["X", 7]
     with pytest.raises(ExperimentFileError, match=r"sides\.first"):
         read_experiment(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "old,new,where,key",
+    [
+        ('"version": 1,', '"version": 1,\n  "version": 1,', "document", "version"),
+        (
+            '"first": [',
+            '"first": ["A", "A\'"],\n    "first": [',
+            "sides",
+            "first",
+        ),
+        ('"metadata": {}', '"metadata": {"x": 1, "y": 2, "x": 3}', "metadata", "x"),
+    ],
+    ids=("document", "sides", "metadata"),
+)
+def test_duplicate_key_names_its_object(tmp_path, old, new, where, key):
+    text = json.dumps(_valid_doc(), indent=2)
+    assert old in text
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path)
+    assert str(info.value) == f"{path}: {where}: duplicate key {key!r}"
+
+
+def test_first_duplicate_in_document_order_is_reported(tmp_path):
+    doc = _valid_doc()
+    text = json.dumps(doc, indent=2).replace(
+        '"metadata": {}', '"metadata": {"x": 1, "x": 2}'
+    ).replace('"A2B2": "0.25"', '"A2B2": "0.25",\n      "A2B2": "0.25"', 1)
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ExperimentFileError, match=r": tables\.AB: duplicate key 'A2B2'$"):
+        read_experiment(path)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,55 @@ class TestSettingPair:
             assert SettingPair.from_label(pair.label) is pair
         with pytest.raises(ValueError):
             SettingPair.from_label("BA")
+
+    @pytest.mark.parametrize(
+        "pair,label,first,second,outcome_labels",
+        [
+            (SettingPair.AB, "AB", "A", "B", ("A1B1", "A1B2", "A2B1", "A2B2")),
+            (SettingPair.AB_PRIME, "AB'", "A", "B'", ("A1B'1", "A1B'2", "A2B'1", "A2B'2")),
+            (SettingPair.A_PRIME_B, "A'B", "A'", "B", ("A'1B1", "A'1B2", "A'2B1", "A'2B2")),
+            (
+                SettingPair.A_PRIME_B_PRIME,
+                "A'B'",
+                "A'",
+                "B'",
+                ("A'1B'1", "A'1B'2", "A'2B'1", "A'2B'2"),
+            ),
+        ],
+        ids=lambda v: v.name if isinstance(v, SettingPair) else None,
+    )
+    def test_derived_attributes(self, pair, label, first, second, outcome_labels):
+        assert pair.label == pair.value == label
+        assert pair.first == first
+        assert pair.second == second
+        assert pair.outcome_labels == outcome_labels
+        assert SettingPair.from_label(pair.label) is pair
+
+    @pytest.mark.parametrize("name", ("label", "first", "second", "outcome_labels"))
+    @pytest.mark.parametrize("pair", list(SettingPair), ids=lambda p: p.name)
+    def test_derived_attributes_are_read_only(self, pair, name):
+        before = getattr(pair, name)
+        with pytest.raises(AttributeError):
+            setattr(pair, name, "X")
+        with pytest.raises(AttributeError):
+            delattr(pair, name)
+        assert getattr(pair, name) == before
+
+    @pytest.mark.parametrize("pair", list(SettingPair), ids=lambda p: p.name)
+    def test_members_are_singletons(self, pair):
+        assert pickle.loads(pickle.dumps(pair)) is pair
+        assert copy.copy(pair) is pair
+        assert copy.deepcopy(pair) is pair
+        assert copy.deepcopy({pair: [pair]}) == {pair: [pair]}
+
+    def test_members_are_keys(self):
+        index = {pair: i for i, pair in enumerate(PAIR_ORDER)}
+        assert [index[pair] for pair in PAIR_ORDER] == [0, 1, 2, 3]
+        assert index[pickle.loads(pickle.dumps(SettingPair.A_PRIME_B))] == 2
+        assert set(PAIR_ORDER) == set(SettingPair)
+        assert len(set(PAIR_ORDER) | set(PAIR_ORDER)) == 4
+        assert SettingPair.AB_PRIME in {SettingPair.AB_PRIME}
+        assert SettingPair.AB_PRIME not in {SettingPair.A_PRIME_B}
 
 
 class TestJointTable:
@@ -238,3 +289,13 @@ class TestExperiment:
         tables[0], tables[1] = tables[1], tables[0]
         with pytest.raises(TableError):
             Experiment(tuple(tables))
+
+    def test_list_input_is_stored_as_tuples(self):
+        tables = [JointTable(0.25, 0.25, 0.25, 0.25, pair) for pair in PAIR_ORDER]
+        from_list = Experiment(tables, sides=[["x", "x'"], ["y", "y'"]])
+        from_tuple = Experiment(tuple(tables), sides=(("x", "x'"), ("y", "y'")))
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert from_list.tables == from_tuple.tables and type(from_list.tables) is tuple
+        assert from_list.sides == (("x", "x'"), ("y", "y'"))
+        assert all(type(side) is tuple for side in from_list.sides)
