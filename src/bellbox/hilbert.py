@@ -15,6 +15,16 @@ every vector into the transpose of its :data:`CANONICAL_ISO` array and
 realigns every operator into the transpose of its canonical realignment.
 A transpose has the same determinant and the same 2x2 minors, bit for bit,
 so every state, measurement and operator flag is the same under both.
+
+Validation happens once, where a value is built: amplitudes and entries in
+``linalg``, the unit norm in :class:`StateVector`, and the four final
+states, outcomes and labels and their orthonormality in
+:class:`Measurement`.  The kernels trust their arguments.  Each evaluates
+its sums in a fixed order with explicit loops, never with ``sum``, and
+gives the same floats, bit for bit, as the straightforward forms kept in
+``tests/oracles.py``.  Measurements are immutable and may be shared:
+``models`` builds each canonical-basis measurement once, and every vessel
+model reuses it and its operator.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .linalg import (
     CVector,
     expectation,
     hermiticity_residual,
-    inner,
     quadratic_form,
 )
 from .bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
@@ -57,6 +66,11 @@ class Isomorphism(Value):
             raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {cells}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "cells", cells)
+        # the coordinates in cells 00, 11, 01, 10: the determinant of a
+        # vector's reshaped array is v[k00] v[k11] - v[k01] v[k10]
+        object.__setattr__(
+            self, "_det_indices", tuple(cells.index(c) for c in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        )
 
 
 #: Index k goes to cell (k // 2, k % 2).
@@ -101,8 +115,17 @@ class Measurement(Value):
     measurement's setting pair; the operator representation is recovered
     from the spectral form when needed, never the other way round (the
     operators can have degenerate spectra).  Empty ``labels`` take the
-    pair's outcome labels.  The measurement is immutable, so
-    :attr:`operator` is built on first use and kept.
+    pair's outcome labels.
+
+    Everything is validated here, once: exactly four :class:`CVector`
+    final states, orthonormal within :data:`tables.EXACT_TOL`; four
+    outcomes that ``float`` turns into finite reals; four distinct labels.
+    Each field is stored as a tuple (outcomes as ``float``), so a
+    measurement built from lists equals and hashes like one built from
+    tuples, and each rejection is a :class:`ValueError` that names its
+    field.  The measurement is immutable, so :attr:`operator` is built on
+    first use and kept, and one measurement can be shared by any number of
+    models (``models`` builds each canonical-basis measurement once).
     """
 
     _fields = ("pair", "final_states", "outcomes", "labels")
@@ -110,17 +133,32 @@ class Measurement(Value):
     def __init__(
         self,
         pair: SettingPair,
-        final_states: tuple[CVector, CVector, CVector, CVector],
-        outcomes: tuple[float, float, float, float] = COINCIDENCE_OUTCOMES,
-        labels: tuple[str, str, str, str] | tuple[()] = (),
+        final_states: Sequence[CVector],
+        outcomes: Sequence[float] = COINCIDENCE_OUTCOMES,
+        labels: Sequence[str] = (),
     ) -> None:
-        if not labels:
-            labels = pair.outcome_labels
+        final_states = tuple(final_states)
+        if len(final_states) != 4 or not all(isinstance(f, CVector) for f in final_states):
+            raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
+        try:
+            values = tuple(map(float, outcomes))
+        except (TypeError, ValueError):
+            values = ()
+        if len(values) != 4 or not all(map(math.isfinite, values)):
+            raise ValueError(f"outcomes must be 4 finite real numbers, got {outcomes!r}")
+        labels = tuple(labels) if labels else pair.outcome_labels
+        if len(labels) != 4:
+            raise ValueError(f"labels must be 4 outcome labels, got {labels!r}")
         if len(set(labels)) != 4:
             raise ValueError(f"outcome labels must be unique: {labels}")
+        amplitudes = [f.amplitudes for f in final_states]
+        conjugates = tuple([tuple([z.conjugate() for z in a]) for a in amplitudes])
         for i in range(4):
+            c0, c1, c2, c3 = conjugates[i]
             for j in range(i, 4):
-                overlap = abs(inner(final_states[i], final_states[j]))
+                a0, a1, a2, a3 = amplitudes[j]
+                # |<i|j>|, with the additions of linalg.inner in its order
+                overlap = abs(0j + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3)
                 want = 1.0 if i == j else 0.0
                 if abs(overlap - want) > EXACT_TOL:
                     raise ValueError(
@@ -129,8 +167,11 @@ class Measurement(Value):
                     )
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "final_states", final_states)
-        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "outcomes", values)
         object.__setattr__(self, "labels", labels)
+        # the conjugated final-state amplitudes, for the Born rule and the
+        # spectral form
+        object.__setattr__(self, "_conjugates", conjugates)
 
     @cached_property
     def operator(self) -> CMatrix:
@@ -140,26 +181,30 @@ class Measurement(Value):
 
 def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTable:
     """Outcome probabilities |<final_k|state>|^2 as a joint table."""
-    v = _vec(state)
-    probs = [min(max(abs(inner(f, v)) ** 2, 0.0), 1.0) for f in measurement.final_states]
+    s0, s1, s2, s3 = _vec(state).amplitudes
+    probs = []
+    for c0, c1, c2, c3 in measurement._conjugates:
+        # |<final_k|state>|^2, with the additions of linalg.inner in its order
+        p = abs(0j + c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3) ** 2
+        probs.append(min(max(p, 0.0), 1.0))
     return JointTable(*probs, pair=measurement.pair)
 
 
 def operator_from_measurement(measurement: Measurement) -> CMatrix:
-    """Self-adjoint operator in spectral form, sum of outcome * |f><f|."""
-    terms = [
-        (x, f.amplitudes, [z.conjugate() for z in f.amplitudes])
-        for x, f in zip(measurement.outcomes, measurement.final_states)
-    ]
+    """Self-adjoint operator in spectral form, sum of outcome * |f><f|.
+
+    Entry (i, j) adds x_k * (f_k[i] * conj(f_k[j])) over the four terms k
+    in order, starting from 0j."""
+    x0, x1, x2, x3 = measurement.outcomes
+    f0, f1, f2, f3 = (f.amplitudes for f in measurement.final_states)
+    g0, g1, g2, g3 = measurement._conjugates
     rows = []
     for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            total = 0j
-            for x, f, f_conj in terms:
-                total += x * (f[i] * f_conj[j])
-            row.append(total)
-        rows.append(row)
+        u0, u1, u2, u3 = f0[i], f1[i], f2[i], f3[i]
+        rows.append([
+            0j + x0 * (u0 * g0[j]) + x1 * (u1 * g1[j]) + x2 * (u2 * g2[j]) + x3 * (u3 * g3[j])
+            for j in range(DIM)
+        ])
     return CMatrix(rows)
 
 
@@ -168,14 +213,16 @@ def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
     :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB, summed
     entry by entry in :data:`bell.CHSH_TERM_ORDER`."""
     terms = [(operators[p].rows, REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER]
-
-    def entry(i: int, j: int) -> complex:
-        total = 0j
-        for rows, plus in terms:
-            total = total + rows[i][j] if plus else total - rows[i][j]
-        return total
-
-    return CMatrix([[entry(i, j) for j in range(DIM)] for i in range(DIM)])
+    rows = []
+    for i in range(DIM):
+        row = []
+        for j in range(DIM):
+            total = 0j
+            for m, plus in terms:
+                total = total + m[i][j] if plus else total - m[i][j]
+            row.append(total)
+        rows.append(row)
+    return CMatrix(rows)
 
 
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -216,7 +263,9 @@ def is_product_vector(
 ) -> bool:
     """True when the vector is a tensor product under ``iso`` (the reshaped
     2x2 array has vanishing determinant)."""
-    return abs(_block_det(reshape(v, iso))) <= tol
+    a = _vec(v).amplitudes
+    k00, k11, k01, k10 = iso._det_indices
+    return abs(a[k00] * a[k11] - a[k01] * a[k10]) <= tol
 
 
 def realign(m: CMatrix, iso: Isomorphism = CANONICAL_ISO) -> CMatrix:

@@ -2,12 +2,18 @@
 
 Everything downstream lives in C^4 (two binary settings per side), so the
 types are fixed-size: plain tuples of Python ``complex``, no numerics
-library, each checked for shape and finiteness once, on construction.
-:class:`CVector` carries the operations the state and basis constructions
-use; :class:`CMatrix` is a 4x4 with indexing, built in one pass by its
-callers.  The functions are the products bellbox evaluates.  All values
-are immutable and every operation is pure, so they can be shared freely
-across threads.
+library.  This is where amplitudes and entries are validated: each
+:class:`CVector` and :class:`CMatrix` converts its input with ``complex``
+and checks shape and finiteness once, on construction, and no function
+here or in ``hilbert`` checks them again.  :class:`CVector` carries the
+operations the state and basis constructions use; :class:`CMatrix` is a
+4x4 with indexing, built in one pass by its callers.  The functions are
+the products bellbox evaluates; :func:`inner` and
+:func:`hermiticity_residual` add and compare in a fixed order with
+explicit loops, never with ``sum`` (whose float algorithm changed in
+Python 3.12), so their results are the same bit for bit on every
+supported version.  All values are immutable and every operation is pure,
+so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ class CVector(Value):
     _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
-        amps = tuple(complex(z) for z in amplitudes)
+        amps = tuple(map(complex, amplitudes))
         if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
             raise ValueError(f"expected {DIM} finite amplitudes, got {amps}")
         object.__setattr__(self, "amplitudes", amps)
@@ -65,7 +71,7 @@ class CMatrix(Value):
     _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
-        mat = tuple(tuple(complex(z) for z in row) for row in rows)
+        mat = tuple([tuple(map(complex, row)) for row in rows])
         if len(mat) != DIM or any(
             len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
         ):
@@ -96,9 +102,14 @@ def hermiticity_residual(m: CMatrix) -> float:
     |m_ji - conj(m_ij)| are the same float, since the two differences are
     conjugate negatives of each other and ``abs`` ignores both signs."""
     rows = m.rows
-    return max(
-        abs(rows[i][j] - rows[j][i].conjugate()) for i in range(DIM) for j in range(i, DIM)
-    )
+    worst = None
+    for i in range(DIM):
+        row = rows[i]
+        for j in range(i, DIM):
+            d = abs(row[j] - rows[j][i].conjugate())
+            if worst is None or d > worst:  # the first of equal maxima wins, as in max()
+                worst = d
+    return worst
 
 
 def quadratic_form(m: CMatrix, v: CVector) -> complex:

@@ -15,14 +15,16 @@ Three datasets ship with the toolkit:
 Each dataset that admits one comes with an explicit C^4 construction:
 a state plus four measurements reproducing its probabilities.  The two
 vessel constructions differ in where the entanglement sits (state vs.
-measurements), which is the point of keeping both.
+measurements), which is the point of keeping both.  Their canonical
+product-basis measurements do not depend on the phases, so each is built
+once, on first use, and shared by every vessel model.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, NamedTuple
 
 from ._value import Value
@@ -295,9 +297,9 @@ def vessels_model(
     plus = CVector([0, a, b, 0])
     minus = CVector([0, a, -b, 0])
     state, partner = (plus, minus) if transparent else (minus, plus)
-    e0, e1, e2, e3 = CANONICAL_BASIS
+    e0, e3 = CANONICAL_BASIS[0], CANONICAL_BASIS[3]
     bases = {
-        SettingPair.AB: (e0, e1, e2, e3),
+        SettingPair.AB: CANONICAL_BASIS,
         SettingPair.AB_PRIME: (state, partner, e0, e3),
         SettingPair.A_PRIME_B: (state, e0, partner, e3),
         SettingPair.A_PRIME_B_PRIME: (state, e0, e3, partner),
@@ -329,6 +331,15 @@ def vessels_alternative_model(alpha: float = 0.0, beta: float = 0.0) -> NamedMod
     return _vessel_model("vessels-alt", e[0], bases, alpha, beta)
 
 
+@cache
+def _canonical_measurement(pair: SettingPair) -> Measurement:
+    """The canonical product basis read out at ``pair``.
+
+    It does not depend on any phase, so it is built on first use, once per
+    pair, and every vessel model shares it and its operator."""
+    return Measurement(pair, CANONICAL_BASIS)
+
+
 def _vessel_model(
     name: str,
     state: CVector,
@@ -337,8 +348,13 @@ def _vessel_model(
     beta: float,
 ) -> NamedModel:
     """An exact construction on the vessels data from its state and the
-    final-state basis of each setting pair."""
-    measurements = {pair: Measurement(pair, basis) for pair, basis in bases.items()}
+    final-state basis of each setting pair; a basis given as
+    :data:`linalg.CANONICAL_BASIS` itself takes the shared
+    :func:`_canonical_measurement`."""
+    measurements = {
+        pair: _canonical_measurement(pair) if basis is CANONICAL_BASIS else Measurement(pair, basis)
+        for pair, basis in bases.items()
+    }
     return NamedModel(
         name=name,
         state=StateVector(state),

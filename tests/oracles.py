@@ -6,7 +6,9 @@ a product lattice instead of evaluating a determinant, the classical-case
 oracle solves Fine's joint-distribution problem as a linear program
 instead of scoring CHSH, operator references are spelled out entrywise
 from their closed forms, and the singular-value / rank oracles go through
-numpy.
+numpy.  The reference kernels are the exception: they keep the
+straightforward forms of the Hilbert-space kernels, which the library's
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
+from bellbox.bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
 from bellbox.linalg import CMatrix, CVector
 from bellbox.tables import Experiment, JointTable, SettingPair
 
@@ -188,6 +191,80 @@ def alternative_ab_operator_reference(
             [corner_off.conjugate(), 0, 0, corner_diag],
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# reference kernels
+# ---------------------------------------------------------------------------
+#
+# The straightforward forms of the Hilbert-space kernels, over plain
+# amplitude sequences and row lists.  The library's kernels do the same
+# float operations in the same order with less interpreter work, so they
+# must agree with these bit for bit.
+
+
+def reference_inner(u, v) -> complex:
+    """<u|v>, conjugating the first argument, summed from 0j in order."""
+    total = 0j
+    for a, b in zip(u, v):
+        total += a.conjugate() * b
+    return total
+
+
+def reference_overlaps(final_states) -> dict[tuple[int, int], float]:
+    """|<f_i|f_j>| for i <= j, in the order a measurement checks them."""
+    return {
+        (i, j): abs(reference_inner(final_states[i], final_states[j]))
+        for i in range(4)
+        for j in range(i, 4)
+    }
+
+
+def reference_born_probabilities(state, final_states) -> tuple[float, ...]:
+    """|<f_k|state>|^2, clipped to [0, 1]."""
+    return tuple(min(max(abs(reference_inner(f, state)) ** 2, 0.0), 1.0) for f in final_states)
+
+
+def reference_block_det(amplitudes, cells) -> complex:
+    """Determinant of the 2x2 array that puts amplitude k in ``cells[k]``."""
+    block = [[0j, 0j], [0j, 0j]]
+    for k, (row, col) in enumerate(cells):
+        block[row][col] = amplitudes[k]
+    return block[0][0] * block[1][1] - block[0][1] * block[1][0]
+
+
+def reference_operator_from_measurement(outcomes, final_states) -> list[list[complex]]:
+    """Spectral form sum_k x_k |f_k><f_k|, entry by entry."""
+    terms = [(x, f, [z.conjugate() for z in f]) for x, f in zip(outcomes, final_states)]
+    rows = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            total = 0j
+            for x, f, f_conj in terms:
+                total += x * (f[i] * f_conj[j])
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def reference_bell_operator(operators) -> list[list[complex]]:
+    """The CHSH combination of row lists keyed by setting pair, summed
+    entry by entry in CHSH_TERM_ORDER with the REFERENCE_SIGNS."""
+    terms = [(operators[p], REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER]
+
+    def entry(i: int, j: int) -> complex:
+        total = 0j
+        for rows, plus in terms:
+            total = total + rows[i][j] if plus else total - rows[i][j]
+        return total
+
+    return [[entry(i, j) for j in range(4)] for i in range(4)]
+
+
+def reference_hermiticity_residual(rows) -> float:
+    """Largest |m_ij - conj(m_ji)| over i <= j."""
+    return max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(4) for j in range(i, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from bellbox.hilbert import (
     is_entangled_measurement,
     verify_model,
 )
-from bellbox.linalg import CVector, expectation, inner
+from bellbox.linalg import CANONICAL_BASIS, CVector, expectation, inner
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
     InvalidTargetsError,
@@ -303,6 +303,9 @@ class TestVerifyOnce:
         }
 
     def test_vessel_model_under_both_isomorphisms(self, count_calls):
+        # the shared canonical AB measurement builds its operator only once
+        # per process; start without it so that this build counts all four
+        models._canonical_measurement.cache_clear()
         calls = self._counters(count_calls)
         model = vessels_model(0.3, 0.8)
         for iso in ISOS:
@@ -329,6 +332,26 @@ class TestVerifyOnce:
             "bell_operator": 1,
             "is_product_operator": 8,
         }
+
+    def test_canonical_measurements_are_built_once_and_shared(self, count_calls):
+        models._canonical_measurement.cache_clear()
+        first = (vessels_model(0.3, 0.8), vessels_alternative_model(-1.2, 0.4))
+        measurements = count_calls(models, "Measurement")
+        operators = count_calls(hilbert, "operator_from_measurement")
+        second = (vessels_model(-0.7, 2.1), vessels_alternative_model(0.6, -2.5))
+        # vessels builds three phase-dependent measurements, vessels-alt one
+        assert (measurements[0], operators[0]) == (4, 4)
+        canonical = {
+            SettingPair.AB: [first[0], second[0]],
+            **{pair: [first[1], second[1]] for pair in PAIR_ORDER[1:]},
+        }
+        for pair, built in canonical.items():
+            shared = models._canonical_measurement(pair)
+            assert shared.final_states == CANONICAL_BASIS
+            for model in built:
+                assert model.measurements[pair] is shared
+                assert model.operators[pair] is shared.operator
+        assert models._canonical_measurement.cache_info().currsize == 4
 
     def test_fixture_built_once_per_model(self, count_calls):
         calls = count_calls(models, "get_fixture")

@@ -453,3 +453,36 @@ class TestValidationMessages:
             CMatrix([[1, 0, 0]] * 4)
         with _raises(ValueError, "expected a 4x4 matrix of finite entries"):
             CMatrix([[1, 0, 0, math.inf]] * 4)
+
+    def test_measurement_final_states(self):
+        for final_states in ((E0, E1, E2), (E0, E1, E2, E3, E0), (E0, E1, E2, _state(3)), ()):
+            with pytest.raises(ValueError, match=r"^final_states must be 4 CVectors, got "):
+                Measurement(AB, final_states)
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [(1.0, -1.0, -1.0), (1.0, -1.0, -1.0, 1.0, 1.0), (1.0, -1.0, -1.0, math.inf),
+         (math.nan, -1.0, -1.0, 1.0), (1.0, "a", -1.0, 1.0), (1.0, -1.0, 1j, 1.0),
+         (1.0, -1.0, None, 1.0), ()],
+        ids=["three", "five", "inf", "nan", "string", "complex", "none", "empty"],
+    )
+    def test_measurement_outcomes(self, outcomes):
+        with _raises(ValueError, f"outcomes must be 4 finite real numbers, got {outcomes!r}"):
+            Measurement(AB, CANONICAL_BASIS, outcomes)
+
+    def test_measurement_label_count(self):
+        with _raises(ValueError, "labels must be 4 outcome labels, got ('a', 'b')"):
+            Measurement(AB, CANONICAL_BASIS, labels=("a", "b"))
+        with _raises(ValueError, "labels must be 4 outcome labels, got ('a', 'b', 'c', 'd', 'e')"):
+            Measurement(AB, CANONICAL_BASIS, labels=["a", "b", "c", "d", "e"])
+
+
+def test_measurement_list_input_is_stored_as_tuples():
+    from_lists = Measurement(AB, list(CANONICAL_BASIS), [1, -1, -1, 1], ["w", "x", "y", "z"])
+    from_tuples = Measurement(AB, CANONICAL_BASIS, (1.0, -1.0, -1.0, 1.0), ("w", "x", "y", "z"))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for name in ("final_states", "outcomes", "labels"):
+        assert type(getattr(from_lists, name)) is tuple
+    assert all(type(x) is float for x in from_lists.outcomes)
+    assert from_lists.operator == from_tuples.operator
