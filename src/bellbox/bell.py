@@ -107,33 +107,56 @@ class ChshResult(NamedTuple):
     variant_signs: Mapping[SettingPair, int]
 
 
+#: Positions in PAIR_ORDER of the terms in CHSH_TERM_ORDER.
+_TERM_POSITIONS = tuple(PAIR_ORDER.index(pair) for pair in CHSH_TERM_ORDER)
+
+#: The sign patterns :func:`chsh` scores, over CHSH_TERM_ORDER, in the order
+#: it scores them: the single minus sign cycles over the terms in PAIR_ORDER.
+#: Each comes with its global flip.
+_PATTERNS = tuple(
+    (signs, tuple(-s for s in signs))
+    for signs in (
+        tuple(-1 if pair is minus_on else 1 for pair in CHSH_TERM_ORDER)
+        for minus_on in PAIR_ORDER
+    )
+)
+
+#: The pattern of :data:`REFERENCE_SIGNS`, one of those in ``_PATTERNS``.
+_REFERENCE = next(
+    signs
+    for signs, _flipped in _PATTERNS
+    if signs == tuple(REFERENCE_SIGNS[pair] for pair in CHSH_TERM_ORDER)
+)
+
+
 def chsh(experiment: Experiment) -> ChshResult:
     """CHSH value of ``experiment``.
 
     The single minus sign cycles over the four terms in ``PAIR_ORDER``; the
     pattern equal to :data:`REFERENCE_SIGNS` (the first, minus on AB) gives
     the reference combination.  A global sign flip never changes the
-    absolute value, so each pattern is scored by |sum|.
+    absolute value, so each pattern is scored by |sum|.  Each sum adds its
+    signed terms left to right, from 0.0.
     """
-    values = {pair: expectation_value(experiment.table(pair)) for pair in CHSH_TERM_ORDER}
+    tables = experiment.tables
+    e0, e1, e2, e3 = terms = [expectation_value(tables[i]) for i in _TERM_POSITIONS]
     reference = 0.0
     best_abs = -1.0
-    best_signs: dict[SettingPair, int] = {}
-    for minus_on in PAIR_ORDER:
-        signs = {pair: (-1 if pair is minus_on else 1) for pair in CHSH_TERM_ORDER}
-        total = sum(signs[pair] * values[pair] for pair in CHSH_TERM_ORDER)
-        if signs == REFERENCE_SIGNS:
+    best_signs: tuple[int, ...] = ()
+    for signs, flipped in _PATTERNS:
+        s0, s1, s2, s3 = signs
+        total = 0.0 + s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3
+        if signs is _REFERENCE:
             reference = total
         if abs(total) > best_abs:
             best_abs = abs(total)
-            if total < 0:  # fold in the global flip so the pattern scores +|total|
-                signs = {pair: -s for pair, s in signs.items()}
-            best_signs = signs
+            # fold in the global flip so the pattern scores +|total|
+            best_signs = flipped if total < 0 else signs
     return ChshResult(
-        expectations=values,
-        reference_combination=reference,
-        max_abs_over_variants=best_abs,
-        variant_signs=best_signs,
+        dict(zip(CHSH_TERM_ORDER, terms)),
+        reference,
+        best_abs,
+        dict(zip(CHSH_TERM_ORDER, best_signs)),
     )
 
 

@@ -15,14 +15,23 @@ flip, which is where CHSH sign errors come from::
       "metadata": {"source": "...", "notes": "..."}
     }
 
-Probabilities are decimal strings; ``repr`` of a float round-trips
-exactly, so written files reproduce the in-memory tables bit for bit.
+Probabilities are decimal strings: a JSON number written as a string
+(``_JSON_NUMBER``), which covers what ``repr`` of a float and fixed-point
+rounding write.  ``repr`` round-trips exactly, so written files reproduce
+the in-memory tables bit for bit.
+
+Input is checked here, at the boundary, once: :func:`read_experiment`
+checks the document's keys, labels and decimal strings, and hands each row
+to :func:`tables.normalize`, which checks the values and builds the table;
+nothing downstream checks them again.  Each rejection is an
+:class:`ExperimentFileError` that names its field.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from json.scanner import NUMBER_RE
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -52,9 +61,35 @@ class _RepeatedKeys(dict):
     key: str
 
 
+class _DuplicateKey(Exception):
+    """Raised by ``_DECODER`` at the first object that repeats a key."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _DuplicateKey
+    return obj
+
+
+#: The one decoder of the read path; it keeps no state between documents.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _parse(text: str) -> tuple[Any, bool]:
     """The JSON document in ``text``, and whether any of its objects repeats
-    a key; each such object is parsed as a :class:`_RepeatedKeys`."""
+    a key; each such object is parsed as a :class:`_RepeatedKeys`.
+
+    Most documents take one pass of ``_DECODER``.  A document with a
+    repeated key, or with a byte-order mark (which ``json.loads`` rejects
+    with its own message), is parsed again with ``json.loads``, which also
+    reports any syntax error that comes after the first repeat.
+    """
+    if not text.startswith("\ufeff"):
+        try:
+            return _DECODER.decode(text), False
+        except _DuplicateKey:
+            pass
     repeats = []
 
     def parse_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -136,6 +171,20 @@ def _indented_json(node: Any, newline: str = "\n") -> str:
     return json.dumps(node, indent=2).replace("\n", newline)
 
 
+#: Setting labels in file order, as the ``settings`` field lists them.
+_SETTINGS = [pair.label for pair in PAIR_ORDER]
+
+#: ``sides`` when a file has none.
+_DEFAULT_SIDES = {"first": ["A", "A'"], "second": ["B", "B'"]}
+
+#: One probability: a JSON number written as a string, in ASCII digits
+#: (``json``'s own number pattern, compiled when ``json`` is imported; its
+#: ``\d`` would also match other scripts' digits).  It covers what
+#: ``repr(float)`` and fixed-point formatting write (``0.25``, ``1e-05``,
+#: ``0.049``) and a leading minus, so that a negative fails as negative.
+_JSON_NUMBER = NUMBER_RE.fullmatch
+
+
 def write_experiment(
     path: str | Path,
     experiment: Experiment,
@@ -147,16 +196,12 @@ def write_experiment(
             "first": list(experiment.sides[0]),
             "second": list(experiment.sides[1]),
         },
-        "settings": [pair.label for pair in PAIR_ORDER],
+        "settings": list(_SETTINGS),
         "tables": {
             pair.label: {
-                label: repr(value)
-                for label, value in zip(
-                    experiment.table(pair).outcome_labels,
-                    experiment.table(pair).values,
-                )
+                label: repr(value) for label, value in zip(pair.outcome_labels, table.values)
             }
-            for pair in PAIR_ORDER
+            for pair, table in zip(PAIR_ORDER, experiment.tables)
         },
         "metadata": dict(metadata) if metadata else {},
     }
@@ -166,10 +211,17 @@ def write_experiment(
 def read_experiment(
     path: str | Path, normalize_tol: float = DEFAULT_NORM_TOL
 ) -> tuple[Experiment, dict[str, Any]]:
-    """Parse an experiment file; returns the experiment and its metadata."""
+    """Parse an experiment file; returns the experiment and its metadata.
+
+    Checks, in order: JSON without repeated keys; the version; two distinct
+    string labels per side; the settings; per table, each outcome label with
+    a decimal string, no other label, and the row by :func:`tables.normalize`
+    within ``normalize_tol``; the metadata object.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
     try:
         doc, repeats = _parse(text)
@@ -185,51 +237,54 @@ def read_experiment(
     if version != FORMAT_VERSION:
         raise _fail(path, "version", f"expected {FORMAT_VERSION}, got {version!r}")
 
-    sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
-    if not isinstance(sides, dict) or set(sides) != {"first", "second"}:
+    sides = doc.get("sides", _DEFAULT_SIDES)
+    if not (
+        isinstance(sides, dict) and len(sides) == 2 and "first" in sides and "second" in sides
+    ):
         raise _fail(path, "sides", "expected {'first': [x, x'], 'second': [y, y']}")
     for side, labels in sides.items():
         if not (
             isinstance(labels, list)
             and len(labels) == 2
-            and all(isinstance(label, str) for label in labels)
+            and labels[0].__class__ is str
+            and labels[1].__class__ is str
         ):
             raise _fail(path, f"sides.{side}", f"expected two string labels: {labels!r}")
+        if labels[0] == labels[1]:
+            raise _fail(path, f"sides.{side}", f"repeated label {labels[0]!r}")
 
     settings = doc.get("settings")
-    expected_settings = [pair.label for pair in PAIR_ORDER]
-    if settings != expected_settings:
-        raise _fail(path, "settings", f"expected {expected_settings}, got {settings!r}")
+    if settings != _SETTINGS:
+        raise _fail(path, "settings", f"expected {_SETTINGS}, got {settings!r}")
 
     tables_doc = doc.get("tables")
     if not isinstance(tables_doc, dict):
         raise _fail(path, "tables", "missing or not an object")
 
-    tables = {}
+    tables = []
     for pair in PAIR_ORDER:
         entry = tables_doc.get(pair.label)
         if not isinstance(entry, dict):
             raise _fail(path, f"tables.{pair.label}", "missing or not an object")
         values = []
         for label in pair.outcome_labels:
-            if label not in entry:
-                raise _fail(path, f"tables.{pair.label}", f"missing outcome {label!r}")
-            raw = entry[label]
-            try:
-                values.append(float(raw))
-            except (TypeError, ValueError):
+            raw = entry.get(label)
+            if raw.__class__ is not str or not raw.isascii() or _JSON_NUMBER(raw) is None:
+                if label not in entry:
+                    raise _fail(path, f"tables.{pair.label}", f"missing outcome {label!r}")
                 raise _fail(
                     path,
                     f"tables.{pair.label}.{label}",
                     f"not a decimal probability: {raw!r}",
-                ) from None
-        extra = set(entry) - set(pair.outcome_labels)
-        if extra:
+                )
+            values.append(float(raw))
+        if len(entry) != 4:
+            extra = set(entry) - set(pair.outcome_labels)
             raise _fail(
                 path, f"tables.{pair.label}", f"unexpected outcome labels {sorted(extra)}"
             )
         try:
-            tables[pair] = normalize(values, pair, tol=normalize_tol)
+            tables.append(normalize(values, pair, tol=normalize_tol))
         except TableError as exc:
             raise _fail(path, f"tables.{pair.label}", str(exc)) from exc
 
@@ -237,8 +292,5 @@ def read_experiment(
     if not isinstance(metadata, dict):
         raise _fail(path, "metadata", "must be an object when present")
 
-    experiment = Experiment.from_tables(
-        tables,
-        sides=(tuple(sides["first"]), tuple(sides["second"])),
-    )
+    experiment = Experiment(tables, (tuple(sides["first"]), tuple(sides["second"])))
     return experiment, metadata

@@ -250,7 +250,8 @@ def schmidt_coefficients(
     determinant modulus d: s+- = sqrt((t +- sqrt(t^2 - 4 d^2)) / 2).
     """
     block = reshape(v, iso)
-    t = sum(abs(z) ** 2 for row in block for z in row)
+    (z00, z01), (z10, z11) = block
+    t = 0.0 + abs(z00) ** 2 + abs(z01) ** 2 + abs(z10) ** 2 + abs(z11) ** 2
     d = abs(_block_det(block))
     disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
     s_large = math.sqrt(max((t + disc) / 2.0, 0.0))

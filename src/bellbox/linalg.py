@@ -8,12 +8,12 @@ and checks shape and finiteness once, on construction, and no function
 here or in ``hilbert`` checks them again.  :class:`CVector` carries the
 operations the state and basis constructions use; :class:`CMatrix` is a
 4x4 with indexing, built in one pass by its callers.  The functions are
-the products bellbox evaluates; :func:`inner` and
-:func:`hermiticity_residual` add and compare in a fixed order with
-explicit loops, never with ``sum`` (whose float algorithm changed in
-Python 3.12), so their results are the same bit for bit on every
-supported version.  All values are immutable and every operation is pure,
-so they can be shared freely across threads.
+the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner` and
+:func:`hermiticity_residual` add and compare in a fixed order, left to
+right, never with ``sum`` (whose float algorithm changed in Python 3.12),
+so their results are the same bit for bit on every supported version.
+All values are immutable and every operation is pure, so they can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class CVector(Value):
         return self.amplitudes[k]
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(z) ** 2 for z in self.amplitudes))
+        a0, a1, a2, a3 = self.amplitudes
+        return math.sqrt(0.0 + abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
 
     def normalized(self) -> CVector:
         n = self.norm()

@@ -395,15 +395,19 @@ def basis_from_probabilities(
         raise InvalidTargetsError(f"target probabilities must be finite: {vals}")
     if any(v < -ENTRY_EPS for v in vals):
         raise InvalidTargetsError(f"target probabilities must be nonnegative: {vals}")
-    if abs(sum(vals) - 1.0) > EXACT_TOL:
-        raise InvalidTargetsError(f"target probabilities sum to {sum(vals)!r}, not 1")
+    v0, v1, v2, v3 = vals
+    total = 0.0 + v0 + v1 + v2 + v3
+    if abs(total - 1.0) > EXACT_TOL:
+        raise InvalidTargetsError(f"target probabilities sum to {total!r}, not 1")
 
     s = state.vector
     t = CVector([math.sqrt(max(v, 0.0)) for v in vals])
     overlap = inner(t, s)
     c = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0 + 0j
     w = s + t.scaled(c)
-    wnorm2 = sum(abs(z) ** 2 for z in w)  # = 2 + 2|<t|s>| >= 2
+    w0, w1, w2, w3 = w.amplitudes
+    # = 2 + 2|<t|s>| >= 2
+    wnorm2 = 0.0 + abs(w0) ** 2 + abs(w1) ** 2 + abs(w2) ** 2 + abs(w3) ** 2
 
     basis = []
     for k in range(4):

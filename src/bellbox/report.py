@@ -37,6 +37,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+#: The bounds as both reports print them.
+_BOUNDS_PAYLOAD = {
+    "classical": _fmt(BOUNDS.classical),
+    "tsirelson": _fmt(BOUNDS.tsirelson),
+    "algebraic": _fmt(BOUNDS.algebraic),
+}
+_BOUNDS_LINE = (
+    f"  bounds: classical {_BOUNDS_PAYLOAD['classical']}, "
+    f"tsirelson {_BOUNDS_PAYLOAD['tsirelson']}, algebraic {_BOUNDS_PAYLOAD['algebraic']}"
+)
+
+
 class Report(NamedTuple):
     chsh: ChshResult
     marginal_law: MarginalLawReport
@@ -59,16 +71,10 @@ def build_report(
         zoo_error = None
     except AmbiguousClassError as exc:
         zoo_class, zoo_error = None, str(exc)
-    return Report(
-        chsh=chsh_result,
-        marginal_law=marginal_law,
-        factorization={
-            pair: factorization_test(experiment.table(pair)) for pair in PAIR_ORDER
-        },
-        zoo_class=zoo_class,
-        zoo_error=zoo_error,
-        model=model,
-    )
+    factorization = {
+        pair: factorization_test(table) for pair, table in zip(PAIR_ORDER, experiment.tables)
+    }
+    return Report(chsh_result, marginal_law, factorization, zoo_class, zoo_error, model)
 
 
 def _model_payload(model: NamedModel, v: ModelVerdict) -> dict[str, Any]:
@@ -93,51 +99,49 @@ def _model_payload(model: NamedModel, v: ModelVerdict) -> dict[str, Any]:
     }
 
 
+def _factorization_payload(verdict: FactorizationVerdict) -> dict[str, Any]:
+    f = verdict.factors
+    return {
+        "factorizable": verdict.factorizable,
+        "residual": _fmt(verdict.residual),
+        "factors": None
+        if f is None
+        else {
+            "a": _fmt(f.a),
+            "b": _fmt(f.b),
+            "a_prime": _fmt(f.a_prime),
+            "b_prime": _fmt(f.b_prime),
+        },
+    }
+
+
 def render_machine(report: Report) -> str:
+    c = report.chsh
+    ml = report.marginal_law
     payload: dict[str, Any] = {
-        "expectations": {p.label: _fmt(report.chsh.expectations[p]) for p in PAIR_ORDER},
+        "expectations": {p.label: _fmt(c.expectations[p]) for p in PAIR_ORDER},
         "chsh": {
-            "reference_combination": _fmt(report.chsh.reference_combination),
-            "max_abs_over_variants": _fmt(report.chsh.max_abs_over_variants),
-            "variant_signs": {
-                p.label: report.chsh.variant_signs[p] for p in CHSH_TERM_ORDER
-            },
+            "reference_combination": _fmt(c.reference_combination),
+            "max_abs_over_variants": _fmt(c.max_abs_over_variants),
+            "variant_signs": {p.label: c.variant_signs[p] for p in CHSH_TERM_ORDER},
         },
-        "bounds": {
-            "classical": _fmt(BOUNDS.classical),
-            "tsirelson": _fmt(BOUNDS.tsirelson),
-            "algebraic": _fmt(BOUNDS.algebraic),
-        },
+        "bounds": _BOUNDS_PAYLOAD,
         "marginal_law": {
-            "holds": report.marginal_law.holds,
-            "tol": _fmt(report.marginal_law.tol),
+            "holds": ml.holds,
+            "tol": _fmt(ml.tol),
             "comparisons": [
                 {
-                    "side": c.side,
-                    "setting": c.setting,
-                    "tables": [p.label for p in c.pairs],
-                    "difference": _fmt(max(c.differences)),
-                    "holds": c.holds,
+                    "side": m.side,
+                    "setting": m.setting,
+                    "tables": [p.label for p in m.pairs],
+                    "difference": _fmt(max(m.differences)),
+                    "holds": m.holds,
                 }
-                for c in report.marginal_law.comparisons
+                for m in ml.comparisons
             ],
         },
         "factorization": {
-            p.label: {
-                "factorizable": report.factorization[p].factorizable,
-                "residual": _fmt(report.factorization[p].residual),
-                "factors": (
-                    None
-                    if report.factorization[p].factors is None
-                    else {
-                        "a": _fmt(report.factorization[p].factors.a),
-                        "b": _fmt(report.factorization[p].factors.b),
-                        "a_prime": _fmt(report.factorization[p].factors.a_prime),
-                        "b_prime": _fmt(report.factorization[p].factors.b_prime),
-                    }
-                ),
-            }
-            for p in PAIR_ORDER
+            p.label: _factorization_payload(report.factorization[p]) for p in PAIR_ORDER
         },
         "zoo_class": report.zoo_class.value if report.zoo_class else None,
         "zoo_error": report.zoo_error,
@@ -147,31 +151,29 @@ def render_machine(report: Report) -> str:
 
 
 def render_text(report: Report) -> str:
+    c = report.chsh
     lines = []
     lines.append("expectation values")
     for p in PAIR_ORDER:
-        lines.append(f"  E({p.first},{p.second}) = {_fmt(report.chsh.expectations[p])}")
+        lines.append(f"  E({p.first},{p.second}) = {_fmt(c.expectations[p])}")
     lines.append("chsh")
-    lines.append(f"  combination  = {_fmt(report.chsh.reference_combination)}")
-    lines.append(f"  max |variant| = {_fmt(report.chsh.max_abs_over_variants)}")
+    lines.append(f"  combination  = {_fmt(c.reference_combination)}")
+    lines.append(f"  max |variant| = {_fmt(c.max_abs_over_variants)}")
     signs = " ".join(
-        f"{'+' if report.chsh.variant_signs[p] > 0 else '-'}E({p.first},{p.second})"
+        f"{'+' if c.variant_signs[p] > 0 else '-'}E({p.first},{p.second})"
         for p in CHSH_TERM_ORDER
     )
     lines.append(f"  achieved by  {signs}")
-    lines.append(
-        f"  bounds: classical {_fmt(BOUNDS.classical)}, "
-        f"tsirelson {_fmt(BOUNDS.tsirelson)}, algebraic {_fmt(BOUNDS.algebraic)}"
-    )
+    lines.append(_BOUNDS_LINE)
     ml = report.marginal_law
     lines.append(f"marginal law: {'holds' if ml.holds else 'violated'} (tol {ml.tol:g})")
-    for c in ml.comparisons:
+    for m in ml.comparisons:
         lines.append(
-            f"  setting {c.setting:3s} ({c.pairs[0].label} vs {c.pairs[1].label}): "
-            f"marginals ({_fmt(c.marginal_a[0])}, {_fmt(c.marginal_a[1])}) vs "
-            f"({_fmt(c.marginal_b[0])}, {_fmt(c.marginal_b[1])}), "
-            f"|diff| {_fmt(max(c.differences))} -> "
-            f"{'ok' if c.holds else 'violated'}"
+            f"  setting {m.setting:3s} ({m.pairs[0].label} vs {m.pairs[1].label}): "
+            f"marginals ({_fmt(m.marginal_a[0])}, {_fmt(m.marginal_a[1])}) vs "
+            f"({_fmt(m.marginal_b[0])}, {_fmt(m.marginal_b[1])}), "
+            f"|diff| {_fmt(max(m.differences))} -> "
+            f"{'ok' if m.holds else 'violated'}"
         )
     lines.append("factorization per table")
     for p in PAIR_ORDER:

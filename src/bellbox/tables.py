@@ -5,6 +5,13 @@ coincidence measurement; an :class:`Experiment` bundles the four tables
 belonging to the setting pairs AB, AB', A'B and A'B'.  The module also
 provides expectation values, marginals, the marginal-distribution-law
 (no-signaling) check and a factorizability test.
+
+One admission rule: the :class:`JointTable` constructor admits entries in
+[0, 1] (within :data:`ENTRY_EPS`) that sum to 1 within ``_SUM_TOL``.  Rounded
+rows go through :func:`normalize`, which checks each raw value once, sums
+once and rescales; the table it builds meets the rule by construction and
+is not checked again.  Sums add left to right from 0.0, as the builtin
+``sum`` does up to Python 3.11 (it is compensated from 3.12 on).
 """
 
 from __future__ import annotations
@@ -24,6 +31,11 @@ CLASS_TOL = 1e-6
 EXACT_TOL = 1e-9
 #: Float noise: slack on an entry's [0, 1] range; a sum this near 1 is exact.
 ENTRY_EPS = 1e-12
+#: Table admission: how far a table's sum may miss 1.  A Born table of a state
+#: whose norm is 1 within EXACT_TOL, in a basis orthonormal within EXACT_TOL,
+#: misses by at most about 6 * EXACT_TOL (the Gram matrix is within 4 *
+#: EXACT_TOL of the identity, by Gershgorin).
+_SUM_TOL = 8 * EXACT_TOL
 
 
 class TableError(ValueError):
@@ -102,6 +114,9 @@ PAIR_ORDER = (
     SettingPair.A_PRIME_B_PRIME,
 )
 
+#: Position of each setting pair in :data:`PAIR_ORDER`.
+_POSITION = {pair: i for i, pair in enumerate(PAIR_ORDER)}
+
 #: Default side labels: settings A/A' on the first side, B/B' on the second.
 DEFAULT_SIDES = (("A", "A'"), ("B", "B'"))
 
@@ -111,8 +126,8 @@ class JointTable(Value):
 
     Cell order is (11, 12, 21, 22): first index for the first side's
     outcome, second for the second side's.  Entries must be probabilities
-    summing to 1 within :data:`DEFAULT_NORM_TOL` (build via
-    :func:`normalize` to rescale raw values to an exact sum).
+    summing to 1 within a few :data:`EXACT_TOL` (build via :func:`normalize`
+    to rescale rounded or raw values to an exact sum).
     """
 
     _fields = ("p11", "p12", "p21", "p22", "pair")
@@ -125,20 +140,15 @@ class JointTable(Value):
         p22: float,
         pair: SettingPair = SettingPair.AB,
     ) -> None:
-        values = (p11, p12, p21, p22)
-        for label, value in zip(pair.outcome_labels, values):
+        for label, value in zip(pair.outcome_labels, (p11, p12, p21, p22)):
             if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
                 raise TableError(f"entry {label} = {value!r} is not a probability")
-        total = sum(values)
-        if abs(total - 1.0) > DEFAULT_NORM_TOL:
+        total = 0.0 + p11 + p12 + p21 + p22
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise NotNormalizableError(
                 f"table {pair.label} sums to {total!r}, too far from 1"
             )
-        object.__setattr__(self, "p11", p11)
-        object.__setattr__(self, "p12", p12)
-        object.__setattr__(self, "p21", p21)
-        object.__setattr__(self, "p22", p22)
-        object.__setattr__(self, "pair", pair)
+        _fill(self, p11, p12, p21, p22, pair)
 
     @property
     def values(self) -> tuple[float, float, float, float]:
@@ -147,6 +157,14 @@ class JointTable(Value):
     @property
     def outcome_labels(self) -> tuple[str, str, str, str]:
         return self.pair.outcome_labels
+
+
+def _fill(
+    table: JointTable, p11: float, p12: float, p21: float, p22: float, pair: SettingPair
+) -> JointTable:
+    """Set the fields of ``table``, whose values meet the admission rule."""
+    vars(table).update(p11=p11, p12=p12, p21=p21, p22=p22, pair=pair)
+    return table
 
 
 def normalize(
@@ -162,24 +180,31 @@ def normalize(
 
     Raises :class:`NegativeEntryError` for negative entries and
     :class:`NotNormalizableError` when the raw sum misses 1 by more than
-    ``tol`` (always when ``tol`` is NaN).
+    ``tol`` (always when ``tol`` is NaN), or is 0 or overflows, which only a
+    ``tol`` of 1 or more lets through.
     """
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if len(vals) != 4:
         raise TableError(f"expected 4 probabilities, got {len(vals)}")
+    total = 0.0
     for label, value in zip(pair.outcome_labels, vals):
-        if not math.isfinite(value):
+        if not 0.0 <= value < math.inf:
+            if math.isfinite(value):
+                raise NegativeEntryError(f"entry {label} = {value!r} is negative")
             raise TableError(f"entry {label} = {value!r} is not finite")
-        if value < 0:
-            raise NegativeEntryError(f"entry {label} = {value!r} is negative")
-    total = sum(vals)
+        total += value
     if not abs(total - 1.0) <= tol:
         raise NotNormalizableError(
             f"table {pair.label} sums to {total!r}; |sum - 1| exceeds tol={tol}"
         )
-    if abs(total - 1.0) <= ENTRY_EPS:
-        return JointTable(*vals, pair=pair)
-    return JointTable(*(v / total for v in vals), pair=pair)
+    if not 0.0 < total < math.inf:
+        raise NotNormalizableError(f"table {pair.label} sums to {total!r}; it cannot be rescaled")
+    p11, p12, p21, p22 = vals
+    if abs(total - 1.0) > ENTRY_EPS:
+        p11, p12, p21, p22 = p11 / total, p12 / total, p21 / total, p22 / total
+    # each entry is at most the sum, so the entries are in [0, 1], and they sum
+    # to 1 within ENTRY_EPS or, rescaled, within a few ulps
+    return _fill(object.__new__(JointTable), p11, p12, p21, p22, pair)
 
 
 class Experiment(Value):
@@ -215,7 +240,10 @@ class Experiment(Value):
         return cls(tuple(tables[p] for p in PAIR_ORDER), sides)
 
     def table(self, pair: SettingPair) -> JointTable:
-        return self.tables[PAIR_ORDER.index(pair)]
+        try:
+            return self.tables[_POSITION[pair]]
+        except KeyError:
+            raise ValueError(f"{pair!r} is not a setting pair") from None
 
 
 def expectation_value(table: JointTable) -> float:
@@ -249,41 +277,39 @@ class MarginalLawReport(NamedTuple):
     holds: bool
 
 
+#: The marginal-law comparisons: side, its index, the setting's index on
+#: that side, and the positions in PAIR_ORDER of the two tables sharing it.
+_MARGINAL_PLAN = (
+    ("first", 0, 0, 0, 1),
+    ("first", 0, 1, 2, 3),
+    ("second", 1, 0, 0, 2),
+    ("second", 1, 1, 1, 3),
+)
+
+
 def marginal_law_report(experiment: Experiment, tol: float = CLASS_TOL) -> MarginalLawReport:
     """Check the marginal distribution law (no-signaling) on all four settings.
 
     For each side and each of that side's settings, the marginal computed
     from the two tables sharing the setting must agree within ``tol``.
     """
-    plan = (
-        ("first", 0, (SettingPair.AB, SettingPair.AB_PRIME)),
-        ("first", 1, (SettingPair.A_PRIME_B, SettingPair.A_PRIME_B_PRIME)),
-        ("second", 0, (SettingPair.AB, SettingPair.A_PRIME_B)),
-        ("second", 1, (SettingPair.AB_PRIME, SettingPair.A_PRIME_B_PRIME)),
-    )
+    tables = experiment.tables
+    sides = experiment.sides
+    both = [marginals(t) for t in tables]
     comparisons = []
-    for side, which, (pa, pb) in plan:
-        idx = 0 if side == "first" else 1
-        ma = marginals(experiment.table(pa))[idx]
-        mb = marginals(experiment.table(pb))[idx]
+    holds = True
+    for side, idx, which, a, b in _MARGINAL_PLAN:
+        ma = both[a][idx]
+        mb = both[b][idx]
         diffs = (abs(ma[0] - mb[0]), abs(ma[1] - mb[1]))
-        setting = experiment.sides[idx][which]
+        ok = max(diffs) <= tol
+        holds = holds and ok
         comparisons.append(
             MarginalComparison(
-                side=side,
-                setting=setting,
-                pairs=(pa, pb),
-                marginal_a=ma,
-                marginal_b=mb,
-                differences=diffs,
-                holds=max(diffs) <= tol,
+                side, sides[idx][which], (PAIR_ORDER[a], PAIR_ORDER[b]), ma, mb, diffs, ok
             )
         )
-    return MarginalLawReport(
-        comparisons=tuple(comparisons),
-        tol=tol,
-        holds=all(c.holds for c in comparisons),
-    )
+    return MarginalLawReport(tuple(comparisons), tol, holds)
 
 
 class Factors(NamedTuple):

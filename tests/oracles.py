@@ -8,22 +8,45 @@ instead of scoring CHSH, operator references are spelled out entrywise
 from their closed forms, and the singular-value / rank oracles go through
 numpy.  The reference kernels are the exception: they keep the
 straightforward forms of the Hilbert-space kernels, which the library's
-must match bit for bit.
+must match bit for bit.  So does the reference analyze path
+(``reference_read_experiment``, ``reference_normalize``, ``reference_chsh``,
+``reference_marginal_law_report``): the straightforward forms of the file
+reader and the analysis, with the builtin ``sum`` of Python 3.11 spelled
+out so that they give 3.11's floats on every version.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 import random
+from pathlib import Path
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from bellbox.bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
+from bellbox.bell import CHSH_TERM_ORDER, REFERENCE_SIGNS, ChshResult
+from bellbox.expfile import FORMAT_VERSION, ExperimentFileError
 from bellbox.linalg import CMatrix, CVector
-from bellbox.tables import Experiment, JointTable, SettingPair
+from bellbox.tables import (
+    CLASS_TOL,
+    DEFAULT_NORM_TOL,
+    ENTRY_EPS,
+    PAIR_ORDER,
+    Experiment,
+    JointTable,
+    MarginalComparison,
+    MarginalLawReport,
+    NegativeEntryError,
+    NotNormalizableError,
+    SettingPair,
+    TableError,
+    expectation_value,
+    marginals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +411,191 @@ def swap_sides(experiment: Experiment) -> Experiment:
         tables[pair] = JointTable(p11, p21, p12, p22, pair)
     first, second = experiment.sides
     return Experiment.from_tables(tables, sides=(second, first))
+
+
+# ---------------------------------------------------------------------------
+# reference analyze path: the straightforward read -> normalize -> analysis
+# ---------------------------------------------------------------------------
+
+
+def _sum311(values) -> float:
+    """The builtin ``sum`` of Python 3.10/3.11: left to right from 0."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def reference_normalize(
+    values: Sequence[float], pair: SettingPair = SettingPair.AB, tol: float = DEFAULT_NORM_TOL
+) -> JointTable:
+    """``normalize`` as it was before its checks were merged: each entry is
+    checked, summed, rescaled, then checked again as a table would be with
+    the slack of ``DEFAULT_NORM_TOL``."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) != 4:
+        raise TableError(f"expected 4 probabilities, got {len(vals)}")
+    for label, value in zip(pair.outcome_labels, vals):
+        if not math.isfinite(value):
+            raise TableError(f"entry {label} = {value!r} is not finite")
+        if value < 0:
+            raise NegativeEntryError(f"entry {label} = {value!r} is negative")
+    total = _sum311(vals)
+    if not abs(total - 1.0) <= tol:
+        raise NotNormalizableError(
+            f"table {pair.label} sums to {total!r}; |sum - 1| exceeds tol={tol}"
+        )
+    if abs(total - 1.0) > ENTRY_EPS:
+        vals = tuple(v / total for v in vals)
+    for label, value in zip(pair.outcome_labels, vals):
+        if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
+            raise TableError(f"entry {label} = {value!r} is not a probability")
+    if abs(_sum311(vals) - 1.0) > DEFAULT_NORM_TOL:
+        raise NotNormalizableError(f"table {pair.label} sums to {_sum311(vals)!r}, too far from 1")
+    return JointTable(*vals, pair=pair)
+
+
+class _RepeatedKeys(dict):
+    key: str
+
+
+def _reference_parse(text: str) -> tuple[Any, bool]:
+    repeats = []
+
+    def parse_object(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _value in pairs]
+            obj = _RepeatedKeys(obj)
+            obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+            repeats.append(obj)
+        return obj
+
+    return json.loads(text, object_pairs_hook=parse_object), bool(repeats)
+
+
+def _reference_find_repeated(node, where: str):
+    if isinstance(node, _RepeatedKeys):
+        return where, node.key
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (dict, list)):
+            field = key if where == "document" else f"{where}.{key}"
+            found = _reference_find_repeated(child, field)
+            if found is not None:
+                return found
+    return None
+
+
+def reference_read_experiment(path, normalize_tol: float = DEFAULT_NORM_TOL):
+    """``read_experiment`` before the read path was merged into one pass:
+    probabilities are parsed with ``float``, and side labels may repeat."""
+
+    def fail(where: str, problem: str) -> ExperimentFileError:
+        return ExperimentFileError(f"{path}: {where}: {problem}")
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
+    try:
+        doc, repeats = _reference_parse(text)
+    except json.JSONDecodeError as exc:
+        raise fail(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    if not isinstance(doc, dict):
+        raise fail("document", "top level must be a JSON object")
+    if repeats:
+        where, key = _reference_find_repeated(doc, "document")
+        raise fail(where, f"duplicate key {key!r}")
+    version = doc.get("version")
+    if version != FORMAT_VERSION:
+        raise fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
+    sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
+    if not isinstance(sides, dict) or set(sides) != {"first", "second"}:
+        raise fail("sides", "expected {'first': [x, x'], 'second': [y, y']}")
+    for side, labels in sides.items():
+        if not (
+            isinstance(labels, list)
+            and len(labels) == 2
+            and all(isinstance(label, str) for label in labels)
+        ):
+            raise fail(f"sides.{side}", f"expected two string labels: {labels!r}")
+    settings = doc.get("settings")
+    expected_settings = [pair.label for pair in PAIR_ORDER]
+    if settings != expected_settings:
+        raise fail("settings", f"expected {expected_settings}, got {settings!r}")
+    tables_doc = doc.get("tables")
+    if not isinstance(tables_doc, dict):
+        raise fail("tables", "missing or not an object")
+    tables = {}
+    for pair in PAIR_ORDER:
+        entry = tables_doc.get(pair.label)
+        if not isinstance(entry, dict):
+            raise fail(f"tables.{pair.label}", "missing or not an object")
+        values = []
+        for label in pair.outcome_labels:
+            if label not in entry:
+                raise fail(f"tables.{pair.label}", f"missing outcome {label!r}")
+            raw = entry[label]
+            try:
+                values.append(float(raw))
+            except (TypeError, ValueError):
+                raise fail(
+                    f"tables.{pair.label}.{label}", f"not a decimal probability: {raw!r}"
+                ) from None
+        extra = set(entry) - set(pair.outcome_labels)
+        if extra:
+            raise fail(f"tables.{pair.label}", f"unexpected outcome labels {sorted(extra)}")
+        try:
+            tables[pair] = reference_normalize(values, pair, tol=normalize_tol)
+        except TableError as exc:
+            raise fail(f"tables.{pair.label}", str(exc)) from exc
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise fail("metadata", "must be an object when present")
+    experiment = Experiment.from_tables(
+        tables, sides=(tuple(sides["first"]), tuple(sides["second"]))
+    )
+    return experiment, metadata
+
+
+def reference_chsh(experiment: Experiment) -> ChshResult:
+    """``chsh`` with a dict of signs per pattern and a ``sum`` per total."""
+    values = {pair: expectation_value(experiment.table(pair)) for pair in CHSH_TERM_ORDER}
+    reference = 0.0
+    best_abs = -1.0
+    best_signs: dict[SettingPair, int] = {}
+    for minus_on in PAIR_ORDER:
+        signs = {pair: (-1 if pair is minus_on else 1) for pair in CHSH_TERM_ORDER}
+        total = _sum311(signs[pair] * values[pair] for pair in CHSH_TERM_ORDER)
+        if signs == REFERENCE_SIGNS:
+            reference = total
+        if abs(total) > best_abs:
+            best_abs = abs(total)
+            if total < 0:
+                signs = {pair: -s for pair, s in signs.items()}
+            best_signs = signs
+    return ChshResult(values, reference, best_abs, best_signs)
+
+
+def reference_marginal_law_report(
+    experiment: Experiment, tol: float = CLASS_TOL
+) -> MarginalLawReport:
+    """``marginal_law_report`` with one ``marginals`` call per table read."""
+    plan = (
+        ("first", 0, (SettingPair.AB, SettingPair.AB_PRIME)),
+        ("first", 1, (SettingPair.A_PRIME_B, SettingPair.A_PRIME_B_PRIME)),
+        ("second", 0, (SettingPair.AB, SettingPair.A_PRIME_B)),
+        ("second", 1, (SettingPair.AB_PRIME, SettingPair.A_PRIME_B_PRIME)),
+    )
+    comparisons = []
+    for side, which, (pa, pb) in plan:
+        idx = 0 if side == "first" else 1
+        ma = marginals(experiment.table(pa))[idx]
+        mb = marginals(experiment.table(pb))[idx]
+        diffs = (abs(ma[0] - mb[0]), abs(ma[1] - mb[1]))
+        comparisons.append(
+            MarginalComparison(
+                side, experiment.sides[idx][which], (pa, pb), ma, mb, diffs, max(diffs) <= tol
+            )
+        )
+    return MarginalLawReport(tuple(comparisons), tol, all(c.holds for c in comparisons))

@@ -186,3 +186,86 @@ def test_first_duplicate_in_document_order_is_reported(tmp_path):
     path.write_text(text)
     with pytest.raises(ExperimentFileError, match=r": tables\.AB: duplicate key 'A2B2'$"):
         read_experiment(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [True, False, None, 0.25, 1, "0.2_5", " 0.25 ", "0.25 ", "nan", "inf", "-inf", "NaN",
+     "Infinity", "+0.25", ".25", "0.", "00.25", "0x1p-2", "1/4", "\u0660.25", "0.25e", ""],
+    ids=repr,
+)
+def test_probability_outside_the_decimal_grammar_names_its_field(tmp_path, raw):
+    doc = _valid_doc()
+    doc["tables"]["A'B"]["A'1B2"] = raw
+    path = _write(tmp_path, doc)
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path)
+    assert str(info.value) == f"{path}: tables.A'B.A'1B2: not a decimal probability: {raw!r}"
+
+
+@pytest.mark.parametrize(
+    "raw,value",
+    [("0.25", 0.25), ("2.5e-01", 0.25), ("25E-2", 0.25), ("0.250", 0.25), ("1e-05", 1e-05),
+     ("0", 0.0), ("-0.0", 0.0)],
+)
+def test_decimal_grammar_covers_repr_and_fixed_point(tmp_path, raw, value):
+    doc = _valid_doc()
+    doc["tables"]["AB"]["A1B1"] = raw
+    doc["tables"]["AB"]["A1B2"] = repr(0.5 - value)
+    experiment, _ = read_experiment(_write(tmp_path, doc))
+    assert experiment.table(SettingPair.AB).p11 == value
+
+
+def test_negative_decimal_fails_as_negative(tmp_path):
+    doc = _valid_doc()
+    doc["tables"]["AB'"]["A1B'2"] = "-1e-05"
+    path = _write(tmp_path, doc)
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path)
+    assert str(info.value) == f"{path}: tables.AB': entry A1B'2 = -1e-05 is negative"
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_repeated_side_label_rejected(tmp_path, side):
+    doc = _valid_doc()
+    doc["sides"][side] = ["A", "A"]
+    path = _write(tmp_path, doc)
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path)
+    assert str(info.value) == f"{path}: sides.{side}: repeated label 'A'"
+
+
+def test_byte_order_mark_is_reported_as_json_does(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + json.dumps(_valid_doc()), encoding="utf-8")
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path)
+    assert str(info.value) == (
+        f"{path}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
+def test_syntax_error_after_a_repeated_key_is_reported(tmp_path):
+    text = json.dumps(_valid_doc(), indent=2).replace(
+        '"version": 1,', '"version": 1,\n  "version": 1,', 1
+    )
+    path = tmp_path / "broken.json"
+    path.write_text(text[:-2])
+    with pytest.raises(ExperimentFileError, match=r"broken\.json: line \d+, column \d+: "):
+        read_experiment(path)
+
+
+def test_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ExperimentFileError, match=r"latin1\.json: cannot read file: 'utf-8' codec"):
+        read_experiment(path)
+
+
+def test_all_zero_row_under_a_loose_tolerance_names_the_table(tmp_path):
+    doc = _valid_doc()
+    doc["tables"]["A'B"] = {label: "0" for label in SettingPair.A_PRIME_B.outcome_labels}
+    path = _write(tmp_path, doc)
+    with pytest.raises(ExperimentFileError) as info:
+        read_experiment(path, normalize_tol=1.0)
+    assert str(info.value) == f"{path}: tables.A'B: table A'B sums to 0.0; it cannot be rescaled"

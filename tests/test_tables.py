@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -19,7 +20,10 @@ from bellbox.tables import (
     marginals,
     normalize,
 )
-from bellbox.models import animal_acts_data, vessels_data
+from bellbox.hilbert import Measurement, StateVector, born_probabilities
+from bellbox.linalg import CVector
+from bellbox.models import animal_acts_data, basis_from_probabilities, vessels_data
+from bellbox.tables import EXACT_TOL
 
 from oracles import (
     lattice_factorization_oracle,
@@ -121,9 +125,79 @@ class TestJointTable:
         with pytest.raises(TableError):
             JointTable(-0.2, 0.6, 0.3, 0.3)
 
-    def test_quoted_sum_slack_accepted(self):
-        # rows quoted to three decimals can miss 1 by a few thousandths
-        JointTable(0.778, 0.086, 0.086, 0.049)
+    def test_quoted_sum_slack_rejected(self):
+        # rows quoted to three decimals can miss 1 by a few thousandths; the
+        # constructor admits only exact sums, and normalize rescales such rows
+        message = r"^table AB sums to 0\.999, too far from 1$"
+        with pytest.raises(NotNormalizableError, match=message):
+            JointTable(0.778, 0.086, 0.086, 0.049)
+        assert normalize((0.778, 0.086, 0.086, 0.049)).values == tuple(
+            v / 0.999 for v in (0.778, 0.086, 0.086, 0.049)
+        )
+
+
+class TestAdmissionRule:
+    """One rule: the constructor admits sums within a few EXACT_TOL of 1, and
+    every Born table of an admitted state and basis; rounded rows are
+    rescaled by normalize."""
+
+    def test_rounded_row_is_rejected_and_normalize_rescales_it(self):
+        with pytest.raises(NotNormalizableError, match="sums to 1.005, too far from 1"):
+            JointTable(0.5, 0.5, 0.005, 0.0)
+        table = normalize((0.5, 0.5, 0.005, 0.0))
+        assert table.values == (0.5 / 1.005, 0.5 / 1.005, 0.005 / 1.005, 0.0)
+        assert expectation_value(table) != -0.005
+
+    def test_sum_within_a_few_exact_tol_is_admitted(self):
+        JointTable(0.25 + 5 * EXACT_TOL, 0.25, 0.25, 0.25)
+        with pytest.raises(NotNormalizableError):
+            JointTable(0.25 + 10 * EXACT_TOL, 0.25, 0.25, 0.25)
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_born_tables_of_synthesized_bases_are_admitted(self, basis_state, state, weights):
+        def unit(parts):
+            amplitudes = [complex(parts[2 * k], parts[2 * k + 1]) for k in range(4)]
+            if CVector(amplitudes).norm() < 1e-3:
+                amplitudes[0] += 1.0
+            return StateVector.of(amplitudes, normalize=True)
+
+        if math.fsum(weights) < 1e-3:
+            weights = [1.0, 0.0, 0.0, 0.0]
+        targets = normalize(weights, tol=math.inf).values
+        basis = basis_from_probabilities(unit(basis_state), targets)
+        table = born_probabilities(unit(state), basis)
+        assert abs(math.fsum(table.values) - 1.0) <= 8 * EXACT_TOL
+
+    def test_born_tables_at_the_edge_of_orthonormality_are_admitted(self):
+        # overlaps and squared norms each miss by just under EXACT_TOL, and the
+        # state's norm too: the sum misses 1 by about 6 * EXACT_TOL
+        eps = 0.99 * EXACT_TOL
+        skew = [
+            [(1.0 if i == k else eps / 2) for i in range(4)] for k in range(4)
+        ]
+        scale = math.sqrt(1.0 + eps) / math.sqrt(1.0 + 3 * (eps / 2) ** 2)
+        basis = Measurement(SettingPair.AB, [CVector(v * scale for v in row) for row in skew])
+        state = StateVector(CVector([0.5 * (1.0 + eps)] * 4))
+        table = born_probabilities(state, basis)
+        assert math.fsum(table.values) - 1.0 > 5 * EXACT_TOL
+
+
+class TestNormalizeRejectsWhatCannotBeRescaled:
+    """A tol of 1 or more admits a sum of 0, or one that overflows; neither
+    can be rescaled into a table."""
+
+    def test_zero_sum(self):
+        message = r"^table AB' sums to 0\.0; it cannot be rescaled$"
+        with pytest.raises(NotNormalizableError, match=message):
+            normalize((0.0, 0.0, 0.0, 0.0), SettingPair.AB_PRIME, tol=1.0)
+
+    def test_overflowing_sum(self):
+        with pytest.raises(NotNormalizableError, match=r"sums to inf; it cannot be rescaled$"):
+            normalize((1e308, 1e308, 0.0, 0.0), tol=math.inf)
 
 
 class TestExpectationValue:

@@ -100,7 +100,14 @@ CASES = [
     Case(
         JointTable,
         {"p11": 0.1, "p12": 0.2, "p21": 0.3, "p22": 0.4, "pair": AB},
-        {"p11": 0.101, "p12": 0.201, "p21": 0.301, "p22": 0.401, "pair": AB_PRIME},
+        # one ulp apart: each changed table still sums to 1 within the admission rule
+        {
+            "p11": math.nextafter(0.1, 1.0),
+            "p12": math.nextafter(0.2, 1.0),
+            "p21": math.nextafter(0.3, 1.0),
+            "p22": math.nextafter(0.4, 1.0),
+            "pair": AB_PRIME,
+        },
         defaults={"pair": AB},
     ),
     Case(
