@@ -18,7 +18,9 @@ flip, which is where CHSH sign errors come from::
 Probabilities are decimal strings: a JSON number written as a string
 (``_JSON_NUMBER``), which covers what ``repr`` of a float and fixed-point
 rounding write.  ``repr`` round-trips exactly, so written files reproduce
-the in-memory tables bit for bit.
+the in-memory tables bit for bit.  :func:`write_experiment` fills one fixed
+layout (see :func:`_layout`) and writes what ``json.dumps(..., indent=2)``
+writes for the document; only the metadata goes through ``json.dumps``.
 
 Input is checked here, at the boundary, once: :func:`read_experiment`
 checks the document's keys, labels and decimal strings, and hands each row
@@ -118,59 +120,6 @@ def _find_repeated(node: dict | list, where: str) -> tuple[str, str] | None:
     return None
 
 
-#: Indentation (line break included) past which ``_indented_json`` leaves a
-#: node to ``json.dumps``: 32 levels, far below the recursion limit.
-_MAX_INDENT = 1 + 2 * 32
-
-
-def _indented_json(node: Any, newline: str = "\n") -> str:
-    """``json.dumps(node, indent=2)``, byte for byte.
-
-    Before Python 3.13, ``json`` encodes indented output with pure-Python
-    generators.  This writes the nodes bellbox builds (``str``, ``bool``,
-    ``None``, ``int``, lists, and dicts with ``str`` keys) itself, quoting
-    strings with the C function ``json`` uses.  Any other node, such as a
-    float, a tuple or an ``int`` key in the caller's metadata, goes to
-    ``json.dumps`` and is re-indented, which is exact because a JSON string
-    holds no raw newline; so are nodes nested deeper than any file or report
-    bellbox writes, which lets ``json.dumps`` report a circular reference.
-    ``newline`` is a line break followed by the indentation of ``node``.
-    """
-    cls = node.__class__
-    if cls is str:
-        return _quote(node)
-    if cls is dict or cls is list:
-        if not node:
-            return "{}" if cls is dict else "[]"
-        if len(newline) <= _MAX_INDENT:
-            inner = newline + "  "
-            if cls is list:
-                items = [
-                    _quote(v) if v.__class__ is str else _indented_json(v, inner) for v in node
-                ]
-                return "[" + inner + ("," + inner).join(items) + newline + "]"
-            items = []
-            for key, value in node.items():
-                if key.__class__ is not str:
-                    break
-                items.append(
-                    _quote(key)
-                    + ": "
-                    + (_quote(value) if value.__class__ is str else _indented_json(value, inner))
-                )
-            else:
-                return "{" + inner + ("," + inner).join(items) + newline + "}"
-    elif node is None:
-        return "null"
-    elif node is True:
-        return "true"
-    elif node is False:
-        return "false"
-    elif cls is int:
-        return int.__repr__(node)
-    return json.dumps(node, indent=2).replace("\n", newline)
-
-
 #: Setting labels in file order, as the ``settings`` field lists them.
 _SETTINGS = [pair.label for pair in PAIR_ORDER]
 
@@ -185,27 +134,71 @@ _DEFAULT_SIDES = {"first": ["A", "A'"], "second": ["B", "B'"]}
 _JSON_NUMBER = NUMBER_RE.fullmatch
 
 
+#: Slots of a layout skeleton: JSON text, a real to six decimals in quotes,
+#: and a number's ``repr`` in quotes.
+_RAW, _REAL, _REPR = "\0", "\1", "\2"
+
+
+def _layout(skeleton: Any, indent: str = "") -> str:
+    """``json.dumps(skeleton, indent=2)``, each line after the first led by
+    ``indent``, as a ``%`` layout: each ``_RAW`` in ``skeleton`` becomes
+    ``%s``, to be filled with JSON text, each ``_REAL`` ``"%.6f"`` and each
+    ``_REPR`` ``"%r"``, to be filled with numbers, in the order written."""
+    text = json.dumps(skeleton, indent=2).replace("%", "%%").replace("\n", "\n" + indent)
+    return text.replace('"\\u0000"', "%s").replace("\\u0001", "%.6f").replace("\\u0002", "%r")
+
+
+#: An experiment file; the metadata object goes in the last slot.
+_FILE_LAYOUT = _layout(
+    {
+        "version": FORMAT_VERSION,
+        "sides": {"first": [_RAW, _RAW], "second": [_RAW, _RAW]},
+        "settings": _SETTINGS,
+        "tables": {pair.label: dict.fromkeys(pair.outcome_labels, _REPR) for pair in PAIR_ORDER},
+        "metadata": _RAW,
+    }
+) + "\n"
+
+
+def _check_side(path: str | Path, side: str, labels: Any) -> None:
+    """Raise unless ``labels`` are two distinct strings in a list or tuple."""
+    if not (
+        isinstance(labels, (list, tuple))
+        and len(labels) == 2
+        and all(isinstance(label, str) for label in labels)
+    ):
+        raise _fail(path, f"sides.{side}", f"expected two string labels: {labels!r}")
+    if labels[0] == labels[1]:
+        raise _fail(path, f"sides.{side}", f"repeated label {labels[0]!r}")
+
+
 def write_experiment(
     path: str | Path,
     experiment: Experiment,
     metadata: Mapping[str, Any] | None = None,
 ) -> None:
-    doc: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "sides": {
-            "first": list(experiment.sides[0]),
-            "second": list(experiment.sides[1]),
-        },
-        "settings": list(_SETTINGS),
-        "tables": {
-            pair.label: {
-                label: repr(value) for label, value in zip(pair.outcome_labels, table.values)
-            }
-            for pair, table in zip(PAIR_ORDER, experiment.tables)
-        },
-        "metadata": dict(metadata) if metadata else {},
-    }
-    Path(path).write_text(_indented_json(doc) + "\n", encoding="utf-8")
+    """Write ``experiment`` and ``metadata`` to ``path`` as ``json.dumps(...,
+    indent=2)`` writes the document, each probability as its float's ``repr``.
+    Side labels that would not read back as written and metadata that would
+    repeat a key raise :class:`ExperimentFileError`, and metadata that
+    ``json.dumps`` cannot encode raises what it raises, before the file is
+    opened."""
+    sides = experiment.sides
+    if len(sides) != 2:
+        raise _fail(path, "sides", f"expected two sides, got {len(sides)}")
+    for side, labels in zip(("first", "second"), sides):
+        _check_side(path, side, labels)
+        # JSON reads a surrogate pair written as two lone surrogates as one character
+        if not all(map(str.isascii, labels)) and json.loads(json.dumps(labels)) != list(labels):
+            raise _fail(path, f"sides.{side}", f"labels {labels!r} would not read back as written")
+    meta = json.dumps(dict(metadata) if metadata else {}, indent=2).replace("\n", "\n  ")
+    parsed, repeats = _parse(meta)  # keys such as 1 and "1" are both written as "1"
+    if repeats:
+        where, key = _find_repeated(parsed, "metadata")
+        raise _fail(path, where, f"duplicate key {key!r}")
+    values = [value for table in experiment.tables for value in table.values]
+    text = _FILE_LAYOUT % (*map(_quote, sides[0] + sides[1]), *values, meta)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_experiment(
@@ -243,15 +236,7 @@ def read_experiment(
     ):
         raise _fail(path, "sides", "expected {'first': [x, x'], 'second': [y, y']}")
     for side, labels in sides.items():
-        if not (
-            isinstance(labels, list)
-            and len(labels) == 2
-            and labels[0].__class__ is str
-            and labels[1].__class__ is str
-        ):
-            raise _fail(path, f"sides.{side}", f"expected two string labels: {labels!r}")
-        if labels[0] == labels[1]:
-            raise _fail(path, f"sides.{side}", f"repeated label {labels[0]!r}")
+        _check_side(path, side, labels)
 
     settings = doc.get("settings")
     if settings != _SETTINGS:

@@ -8,10 +8,11 @@ and checks shape and finiteness once, on construction, and no function
 here or in ``hilbert`` checks them again.  :class:`CVector` carries the
 operations the state and basis constructions use; :class:`CMatrix` is a
 4x4 with indexing, built in one pass by its callers.  The functions are
-the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner` and
-:func:`hermiticity_residual` add and compare in a fixed order, left to
-right, never with ``sum`` (whose float algorithm changed in Python 3.12),
-so their results are the same bit for bit on every supported version.
+the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner`,
+:func:`apply` and :func:`hermiticity_residual` add and compare in a fixed
+order, left to right, never with ``sum`` (whose float algorithm changed in
+Python 3.12, and is not fixed by the language), so their results are the
+same bit for bit on every supported version.
 All values are immutable and every operation is pure, so they can be
 shared freely across threads.
 """
@@ -93,7 +94,8 @@ def inner(u: CVector, v: CVector) -> complex:
 
 def apply(m: CMatrix, v: CVector) -> CVector:
     """Matrix-vector product m @ v."""
-    return CVector(sum((row[j] * v[j] for j in range(DIM)), 0j) for row in m.rows)
+    v0, v1, v2, v3 = v.amplitudes
+    return CVector(0j + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m.rows)
 
 
 def hermiticity_residual(m: CMatrix) -> float:

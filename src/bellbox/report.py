@@ -3,12 +3,15 @@
 Every number in a report is reproducible from the analyzed experiment
 alone.  Machine output is JSON with a fixed field order and all reals
 formatted to six decimal places, so equal analyses produce byte-equal
-documents.
+documents.  :func:`render_machine` fills fixed layouts, made at import,
+with the report's values; it writes what ``json.dumps(..., indent=2)``
+writes for the report as a JSON object, byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from .bell import (
     AmbiguousClassError,
@@ -19,12 +22,13 @@ from .bell import (
     chsh,
     decide_class,
 )
-from .expfile import _indented_json
+from .expfile import _RAW, _REAL, _SETTINGS, _layout
 from .hilbert import ModelVerdict
 from .models import NamedModel
 from .tables import (
     Experiment,
     FactorizationVerdict,
+    Factors,
     MarginalLawReport,
     PAIR_ORDER,
     SettingPair,
@@ -38,14 +42,52 @@ def _fmt(x: float) -> str:
 
 
 #: The bounds as both reports print them.
-_BOUNDS_PAYLOAD = {
-    "classical": _fmt(BOUNDS.classical),
-    "tsirelson": _fmt(BOUNDS.tsirelson),
-    "algebraic": _fmt(BOUNDS.algebraic),
-}
-_BOUNDS_LINE = (
-    f"  bounds: classical {_BOUNDS_PAYLOAD['classical']}, "
-    f"tsirelson {_BOUNDS_PAYLOAD['tsirelson']}, algebraic {_BOUNDS_PAYLOAD['algebraic']}"
+_BOUNDS_TEXT = {name: _fmt(getattr(BOUNDS, name)) for name in BOUNDS._fields}
+_BOUNDS_LINE = "  bounds: " + ", ".join(f"{name} {text}" for name, text in _BOUNDS_TEXT.items())
+
+#: Each setting label as a JSON string.
+_QUOTED_LABEL = {pair: _quote(pair.label) for pair in PAIR_ORDER}
+
+#: ``false`` and ``true``, indexed by a bool.
+_JSON_BOOL = ("false", "true")
+
+#: The machine report.  The marginal-law comparisons, each factorization
+#: entry's ``factors`` and the model block fill their slots with the layouts
+#: below, or with ``null``; each of those is indented as the line of its slot.
+_MACHINE_LAYOUT = _layout(
+    {
+        "expectations": dict.fromkeys(_SETTINGS, _REAL),
+        "chsh": {
+            "reference_combination": _REAL,
+            "max_abs_over_variants": _REAL,
+            "variant_signs": dict.fromkeys([pair.label for pair in CHSH_TERM_ORDER], _RAW),
+        },
+        "bounds": _BOUNDS_TEXT,
+        "marginal_law": {"holds": _RAW, "tol": _REAL, "comparisons": [_RAW]},
+        "factorization": {
+            label: {"factorizable": _RAW, "residual": _REAL, "factors": _RAW} for label in _SETTINGS
+        },
+        "zoo_class": _RAW,
+        "zoo_error": _RAW,
+        "model": _RAW,
+    }
+) + "\n"
+_COMPARISON_LAYOUT = _layout(
+    {"side": _RAW, "setting": _RAW, "tables": [_RAW, _RAW], "difference": _REAL, "holds": _RAW},
+    " " * 6,
+)
+_FACTORS_LAYOUT = _layout(dict.fromkeys(Factors._fields, _REAL), " " * 6)
+_MODEL_LAYOUT = _layout(
+    {
+        "name": _RAW, "alpha": _REAL, "beta": _REAL, "iso": _RAW, "residual_kind": _RAW,
+        "tolerance": _REAL,
+        "residuals": dict.fromkeys(_SETTINGS, _REAL),
+        "hermiticity_residuals": dict.fromkeys(_SETTINGS, _REAL),
+        "measurement_entangled": dict.fromkeys(_SETTINGS, _RAW),
+        "state_entangled": _RAW, "chsh_from_model": _REAL, "chsh_imag_residual": _REAL,
+        "passed": _RAW,
+    },
+    "  ",
 )
 
 
@@ -77,77 +119,48 @@ def build_report(
     return Report(chsh_result, marginal_law, factorization, zoo_class, zoo_error, model)
 
 
-def _model_payload(model: NamedModel, v: ModelVerdict) -> dict[str, Any]:
-    return {
-        "name": model.name,
-        "alpha": _fmt(model.alpha),
-        "beta": _fmt(model.beta),
-        "iso": v.iso.name,
-        "residual_kind": v.residual_kind,
-        "tolerance": _fmt(v.tolerance),
-        "residuals": {p.label: _fmt(v.residuals[p]) for p in PAIR_ORDER},
-        "hermiticity_residuals": {
-            p.label: _fmt(v.hermiticity_residuals[p]) for p in PAIR_ORDER
-        },
-        "measurement_entangled": {
-            p.label: v.measurement_entangled[p] for p in PAIR_ORDER
-        },
-        "state_entangled": v.state_entangled,
-        "chsh_from_model": _fmt(v.chsh_from_model),
-        "chsh_imag_residual": _fmt(v.chsh_imag_residual),
-        "passed": v.passed,
-    }
-
-
-def _factorization_payload(verdict: FactorizationVerdict) -> dict[str, Any]:
-    f = verdict.factors
-    return {
-        "factorizable": verdict.factorizable,
-        "residual": _fmt(verdict.residual),
-        "factors": None
-        if f is None
-        else {
-            "a": _fmt(f.a),
-            "b": _fmt(f.b),
-            "a_prime": _fmt(f.a_prime),
-            "b_prime": _fmt(f.b_prime),
-        },
-    }
-
-
 def render_machine(report: Report) -> str:
     c = report.chsh
     ml = report.marginal_law
-    payload: dict[str, Any] = {
-        "expectations": {p.label: _fmt(c.expectations[p]) for p in PAIR_ORDER},
-        "chsh": {
-            "reference_combination": _fmt(c.reference_combination),
-            "max_abs_over_variants": _fmt(c.max_abs_over_variants),
-            "variant_signs": {p.label: c.variant_signs[p] for p in CHSH_TERM_ORDER},
-        },
-        "bounds": _BOUNDS_PAYLOAD,
-        "marginal_law": {
-            "holds": ml.holds,
-            "tol": _fmt(ml.tol),
-            "comparisons": [
-                {
-                    "side": m.side,
-                    "setting": m.setting,
-                    "tables": [p.label for p in m.pairs],
-                    "difference": _fmt(max(m.differences)),
-                    "holds": m.holds,
-                }
-                for m in ml.comparisons
-            ],
-        },
-        "factorization": {
-            p.label: _factorization_payload(report.factorization[p]) for p in PAIR_ORDER
-        },
-        "zoo_class": report.zoo_class.value if report.zoo_class else None,
-        "zoo_error": report.zoo_error,
-        "model": _model_payload(*report.model) if report.model else None,
-    }
-    return _indented_json(payload) + "\n"
+    comparisons = [
+        _COMPARISON_LAYOUT
+        % (
+            _quote(m.side), _quote(m.setting), _QUOTED_LABEL[m.pairs[0]],
+            _QUOTED_LABEL[m.pairs[1]], max(m.differences), _JSON_BOOL[m.holds],
+        )
+        for m in ml.comparisons
+    ]
+    fields = [
+        *map(c.expectations.__getitem__, PAIR_ORDER),
+        c.reference_combination,
+        c.max_abs_over_variants,
+        *map(c.variant_signs.__getitem__, CHSH_TERM_ORDER),
+        _JSON_BOOL[ml.holds],
+        ml.tol,
+        ",\n      ".join(comparisons),
+    ]
+    for pair in PAIR_ORDER:
+        f = report.factorization[pair]
+        factors = "null" if f.factors is None else _FACTORS_LAYOUT % f.factors
+        fields += (_JSON_BOOL[f.factorizable], f.residual, factors)
+    model = "null"
+    if report.model is not None:
+        named, v = report.model
+        model = _MODEL_LAYOUT % (
+            _quote(named.name), named.alpha, named.beta, _quote(v.iso.name),
+            _quote(v.residual_kind), v.tolerance,
+            *map(v.residuals.__getitem__, PAIR_ORDER),
+            *map(v.hermiticity_residuals.__getitem__, PAIR_ORDER),
+            *[_JSON_BOOL[v.measurement_entangled[pair]] for pair in PAIR_ORDER],
+            _JSON_BOOL[v.state_entangled], v.chsh_from_model, v.chsh_imag_residual,
+            _JSON_BOOL[v.passed],
+        )
+    fields += (
+        "null" if report.zoo_class is None else _quote(report.zoo_class.value),
+        "null" if report.zoo_error is None else _quote(report.zoo_error),
+        model,
+    )
+    return _MACHINE_LAYOUT % tuple(fields)
 
 
 def render_text(report: Report) -> str:

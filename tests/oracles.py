@@ -12,7 +12,10 @@ must match bit for bit.  So does the reference analyze path
 (``reference_read_experiment``, ``reference_normalize``, ``reference_chsh``,
 ``reference_marginal_law_report``): the straightforward forms of the file
 reader and the analysis, with the builtin ``sum`` of Python 3.11 spelled
-out so that they give 3.11's floats on every version.
+out so that they give 3.11's floats on every version.  The reference
+documents (``reference_machine_payload``, ``reference_file_document``) are
+the objects whose ``json.dumps(..., indent=2)`` the two writers must write
+byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from bellbox.bell import CHSH_TERM_ORDER, REFERENCE_SIGNS, ChshResult
+from bellbox.bell import BOUNDS, CHSH_TERM_ORDER, REFERENCE_SIGNS, ChshResult
 from bellbox.expfile import FORMAT_VERSION, ExperimentFileError
 from bellbox.linalg import CMatrix, CVector
 from bellbox.tables import (
@@ -232,6 +235,17 @@ def reference_inner(u, v) -> complex:
     for a, b in zip(u, v):
         total += a.conjugate() * b
     return total
+
+
+def reference_apply(rows, v) -> list[complex]:
+    """m @ v for a row list, each entry summed from 0j in order."""
+    out = []
+    for row in rows:
+        total = 0j
+        for a, b in zip(row, v):
+            total += a * b
+        out.append(total)
+    return out
 
 
 def reference_overlaps(final_states) -> dict[tuple[int, int], float]:
@@ -599,3 +613,109 @@ def reference_marginal_law_report(
             )
         )
     return MarginalLawReport(tuple(comparisons), tol, all(c.holds for c in comparisons))
+
+
+# ---------------------------------------------------------------------------
+# reference documents
+# ---------------------------------------------------------------------------
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.6f}"
+
+
+def _model_payload(model, v) -> dict[str, Any]:
+    return {
+        "name": model.name,
+        "alpha": _fmt(model.alpha),
+        "beta": _fmt(model.beta),
+        "iso": v.iso.name,
+        "residual_kind": v.residual_kind,
+        "tolerance": _fmt(v.tolerance),
+        "residuals": {p.label: _fmt(v.residuals[p]) for p in PAIR_ORDER},
+        "hermiticity_residuals": {
+            p.label: _fmt(v.hermiticity_residuals[p]) for p in PAIR_ORDER
+        },
+        "measurement_entangled": {
+            p.label: v.measurement_entangled[p] for p in PAIR_ORDER
+        },
+        "state_entangled": v.state_entangled,
+        "chsh_from_model": _fmt(v.chsh_from_model),
+        "chsh_imag_residual": _fmt(v.chsh_imag_residual),
+        "passed": v.passed,
+    }
+
+
+def _factorization_payload(verdict) -> dict[str, Any]:
+    f = verdict.factors
+    return {
+        "factorizable": verdict.factorizable,
+        "residual": _fmt(verdict.residual),
+        "factors": None
+        if f is None
+        else {
+            "a": _fmt(f.a),
+            "b": _fmt(f.b),
+            "a_prime": _fmt(f.a_prime),
+            "b_prime": _fmt(f.b_prime),
+        },
+    }
+
+
+def reference_machine_payload(report) -> dict[str, Any]:
+    """The machine report of ``report`` as a JSON object, field by field."""
+    c = report.chsh
+    ml = report.marginal_law
+    return {
+        "expectations": {p.label: _fmt(c.expectations[p]) for p in PAIR_ORDER},
+        "chsh": {
+            "reference_combination": _fmt(c.reference_combination),
+            "max_abs_over_variants": _fmt(c.max_abs_over_variants),
+            "variant_signs": {p.label: c.variant_signs[p] for p in CHSH_TERM_ORDER},
+        },
+        "bounds": {
+            "classical": _fmt(BOUNDS.classical),
+            "tsirelson": _fmt(BOUNDS.tsirelson),
+            "algebraic": _fmt(BOUNDS.algebraic),
+        },
+        "marginal_law": {
+            "holds": ml.holds,
+            "tol": _fmt(ml.tol),
+            "comparisons": [
+                {
+                    "side": m.side,
+                    "setting": m.setting,
+                    "tables": [p.label for p in m.pairs],
+                    "difference": _fmt(max(m.differences)),
+                    "holds": m.holds,
+                }
+                for m in ml.comparisons
+            ],
+        },
+        "factorization": {
+            p.label: _factorization_payload(report.factorization[p]) for p in PAIR_ORDER
+        },
+        "zoo_class": report.zoo_class.value if report.zoo_class else None,
+        "zoo_error": report.zoo_error,
+        "model": _model_payload(*report.model) if report.model else None,
+    }
+
+
+def reference_file_document(experiment: Experiment, metadata) -> dict[str, Any]:
+    """The experiment file of ``experiment`` and ``metadata`` as a JSON
+    object, each probability as the ``repr`` of its float."""
+    return {
+        "version": FORMAT_VERSION,
+        "sides": {
+            "first": list(experiment.sides[0]),
+            "second": list(experiment.sides[1]),
+        },
+        "settings": [p.label for p in PAIR_ORDER],
+        "tables": {
+            p.label: {
+                label: repr(value) for label, value in zip(p.outcome_labels, table.values)
+            }
+            for p, table in zip(PAIR_ORDER, experiment.tables)
+        },
+        "metadata": dict(metadata) if metadata else {},
+    }

@@ -4,7 +4,7 @@ import pytest
 
 from bellbox.expfile import ExperimentFileError, read_experiment, write_experiment
 from bellbox.models import animal_acts_data, vessels_data
-from bellbox.tables import PAIR_ORDER, SettingPair
+from bellbox.tables import PAIR_ORDER, Experiment, SettingPair
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -233,6 +233,55 @@ def test_repeated_side_label_rejected(tmp_path, side):
     with pytest.raises(ExperimentFileError) as info:
         read_experiment(path)
     assert str(info.value) == f"{path}: sides.{side}: repeated label 'A'"
+
+
+def _write_sides(tmp_path, sides):
+    """The message ``write_experiment`` raises for vessel tables with
+    ``sides``, and the path it was given, which must not exist."""
+    path = tmp_path / "exp.json"
+    with pytest.raises(ExperimentFileError) as info:
+        write_experiment(path, Experiment(vessels_data().experiment.tables, sides))
+    assert not path.exists()
+    return path, str(info.value)
+
+
+def test_writer_rejects_non_string_side_label(tmp_path):
+    path, message = _write_sides(tmp_path, (("X", 7), ("B", "B'")))
+    assert message == f"{path}: sides.first: expected two string labels: ('X', 7)"
+
+
+def test_writer_rejects_repeated_side_label(tmp_path):
+    path, message = _write_sides(tmp_path, (("A", "A'"), ("B", "B")))
+    assert message == f"{path}: sides.second: repeated label 'B'"
+
+
+@pytest.mark.parametrize("labels", [("B",), ("B", "B'", "B''")])
+def test_writer_rejects_a_side_without_two_labels(tmp_path, labels):
+    path, message = _write_sides(tmp_path, (("A", "A'"), labels))
+    assert message == f"{path}: sides.second: expected two string labels: {labels!r}"
+
+
+def test_writer_rejects_side_label_that_would_read_back_changed(tmp_path):
+    labels = ("B", "\ud800\udfff")  # read back as the one character "\U000103ff"
+    path, message = _write_sides(tmp_path, (("A", "\ud800"), labels))
+    assert message == f"{path}: sides.second: labels {labels!r} would not read back as written"
+
+
+@pytest.mark.parametrize(
+    "metadata,where,key",
+    [({1: "a", "1": "b"}, "metadata", "1"), ({"m": [{None: 1, "null": 2}]}, "metadata.m.0", "null")],
+)
+def test_writer_rejects_metadata_that_would_repeat_a_key(tmp_path, metadata, where, key):
+    path = tmp_path / "exp.json"
+    with pytest.raises(ExperimentFileError) as info:
+        write_experiment(path, vessels_data().experiment, metadata)
+    assert str(info.value) == f"{path}: {where}: duplicate key {key!r}"
+    assert not path.exists()
+
+
+def test_writer_rejects_other_than_two_sides(tmp_path):
+    path, message = _write_sides(tmp_path, (("A", "A'"), ("B", "B'"), ("C", "C'")))
+    assert message == f"{path}: sides: expected two sides, got 3"
 
 
 def test_byte_order_mark_is_reported_as_json_does(tmp_path):

@@ -1,8 +1,12 @@
-"""The one indented-JSON writer behind machine reports and experiment files.
+"""Machine reports and experiment files are indented JSON, byte for byte.
 
-``bellbox.expfile._indented_json`` must write exactly what
-``json.dumps(node, indent=2)`` writes, and raise what it raises, for any
-node.  Reports and files are checked by re-encoding what they parse to.
+``report.render_machine`` and ``expfile.write_experiment`` fill fixed
+layouts.  Each must write exactly ``json.dumps(document, indent=2)`` of its
+reference document in ``oracles`` (``reference_machine_payload``,
+``reference_file_document``), whatever the side labels and the metadata, and
+the file writer must raise what ``json.dumps`` raises for metadata it cannot
+encode, before it opens the file.  Reports and files are also checked by
+re-encoding what they parse to.
 """
 
 import collections
@@ -14,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellbox.bell import ZooClass
-from bellbox.expfile import _indented_json, read_experiment, write_experiment
+from bellbox.expfile import ExperimentFileError, read_experiment, write_experiment
 from bellbox.hilbert import ISOMORPHISMS
 from bellbox.models import (
+    REGISTRY,
     animal_acts_data,
     get_fixture,
     get_model,
@@ -25,6 +30,8 @@ from bellbox.models import (
 )
 from bellbox.report import build_report, render_machine
 from bellbox.tables import DEFAULT_SIDES, PAIR_ORDER, Experiment, JointTable
+
+from oracles import reference_file_document, reference_machine_payload
 
 
 def _outcome(fn, *args):
@@ -35,8 +42,51 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _same_as_json(node):
-    assert _outcome(_indented_json, node) == _outcome(lambda n: json.dumps(n, indent=2), node)
+def _reference_report(report) -> str:
+    return json.dumps(reference_machine_payload(report), indent=2) + "\n"
+
+
+def _reference_file(experiment, metadata) -> str:
+    return json.dumps(reference_file_document(experiment, metadata), indent=2) + "\n"
+
+
+def _repeats_a_key(text: str) -> bool:
+    """Whether an object in the JSON ``text`` repeats a key."""
+    repeats = []
+
+    def hook(pairs):
+        repeats.append(len(dict(pairs)) < len(pairs))
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=hook)
+    return any(repeats)
+
+
+def _check_written(path, experiment, metadata):
+    """``write_experiment`` writes the reference file, which reads back to
+    ``experiment``.  Or it raises: what ``json.dumps`` raises for the
+    reference document, or ``ExperimentFileError`` when the reference file
+    would read back with other side labels, or not at all because its
+    metadata repeats a key (``1`` and ``"1"`` are both written as ``"1"``).
+    It leaves no file when it raises.  Returns what the writer returned or
+    raised."""
+    want = _outcome(_reference_file, experiment, metadata)
+    if path.exists():
+        path.unlink()
+    got = _outcome(write_experiment, path, experiment, metadata)
+    if not isinstance(want, str):
+        assert got == want
+    elif tuple(map(tuple, json.loads(want)["sides"].values())) != experiment.sides:
+        assert got[0] is ExperimentFileError and got[1].endswith("would not read back as written")
+    elif _repeats_a_key(want):
+        assert got[0] is ExperimentFileError and "duplicate key" in got[1]
+    else:
+        assert got is None
+        assert path.read_text(encoding="utf-8") == want
+        assert read_experiment(path)[0] == experiment
+        return got
+    assert not path.exists()
+    return got
 
 
 scalars = (
@@ -57,88 +107,11 @@ trees = st.recursive(
     max_leaves=40,
 )
 
-
-@settings(max_examples=300)
-@given(trees)
-def test_matches_json_dumps(tree):
-    _same_as_json(tree)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "plain",
-        "café ☃ \U0001f600",
-        'a "quoted" word',
-        "back\\slash \\n",
-        "".join(map(chr, range(32))) + "\x7f",
-        "  ",
-        "\ud800 lone surrogate",
-    ],
+#: Any character, lone surrogates included, and often one that JSON escapes.
+characters = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\/\x00\b\t\n\x1f\x7f\xe9\u2028\u2603\ud800\udfff\U0001f600'
 )
-def test_strings(text):
-    for node in (text, [text], {text: text}, {"k": [text, {text: [text]}]}):
-        _same_as_json(node)
-
-
-class Color(enum.IntEnum):
-    RED = 1
-
-
-class Label(str):
-    pass
-
-
-@pytest.mark.parametrize(
-    "node",
-    [
-        {},
-        [],
-        [[], {}, [[]], {"": {}}],
-        {"a": {"b": {"c": []}}},
-        [None, True, False, 0, -1, 2**70, 1.5, -0.0],
-        [math.nan, math.inf, -math.inf],
-        {"t": (1, "x", (None,)), "u": ()},
-        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
-        {"a": 1, 1: "mixed keys"},
-        {"e": Color.RED, Color.RED: "enum key"},
-        {"s": Label("sub"), Label("key"): 1},
-        collections.OrderedDict(b=1, a=2),
-        {"nested": collections.OrderedDict(b=[1.0])},
-        [{"deep": [{"deeper": [1, {"x": [True]}]}]}],
-    ],
-)
-def test_other_nodes(node):
-    _same_as_json(node)
-
-
-def test_deep_nesting_is_written_like_json():
-    for depth in (31, 32, 33, 40, 100):
-        node = "leaf"
-        for level in range(depth):
-            node = {"k": node} if level % 2 else [node, level]
-        _same_as_json(node)
-
-
-@pytest.mark.parametrize("error", [TypeError, ValueError])
-def test_unencodable_nodes_raise_what_json_raises(error):
-    if error is TypeError:
-        cases = [{1, 2}, {"a": [object()]}, {(1, 2): "tuple key"}, b"bytes"]
-    else:
-        loop_list = []
-        loop_list.append(loop_list)
-        loop_dict = {"a": 1}
-        loop_dict["self"] = {"up": [loop_dict]}
-        loop_tuple = {"x": []}
-        loop_tuple["x"].append((loop_tuple,))
-        cases = [loop_list, loop_dict, loop_tuple, {"ok": 1, "m": loop_dict}]
-    for node in cases:
-        with pytest.raises(error) as expected:
-            json.dumps(node, indent=2)
-        with pytest.raises(error) as got:
-            _indented_json(node)
-        assert str(got.value) == str(expected.value)
+side_labels = st.lists(st.text(characters, max_size=6), min_size=2, max_size=2, unique=True)
 
 
 def _reencoded(text: str) -> str:
@@ -235,3 +208,117 @@ def test_unencodable_metadata_raises_as_json_does(tmp_path):
     with pytest.raises(ValueError, match="Circular reference detected"):
         write_experiment(path, vessels_data().experiment, circular)
     assert not path.exists()
+
+
+#: The four Zoo classes and the unresolved extremal box.
+ZOO_EXPERIMENTS = [EXPERIMENTS[name][0] for name in EXPERIMENTS if name != "odd-sides"]
+experiments = st.builds(
+    lambda experiment, first, second: Experiment(experiment.tables, (first, second)),
+    st.sampled_from(ZOO_EXPERIMENTS),
+    side_labels,
+    side_labels,
+)
+#: No model, or a registry model under one of the isomorphisms.
+model_choices = st.sampled_from(
+    [None]
+    + [(name, iso) for name, (_, build) in REGISTRY.items() if build for iso in ISOMORPHISMS]
+)
+phases = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiments, model_choices, phases, phases)
+def test_machine_report_matches_the_reference(experiment, choice, alpha, beta):
+    model = None
+    if choice is not None:
+        name, iso = choice
+        named = get_model(name, alpha, beta)
+        model = (named, named.verify(experiment, iso=ISOMORPHISMS[iso]))
+    report = build_report(experiment, model=model)
+    assert render_machine(report) == _reference_report(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiments, st.none() | st.dictionaries(keys, trees, max_size=4))
+def test_matches_json_dumps(tmp_path_factory, experiment, metadata):
+    _check_written(tmp_path_factory.getbasetemp() / "written.json", experiment, metadata)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "plain",
+        "café ☃ \U0001f600",
+        'a "quoted" word',
+        "back\\slash \\n",
+        "".join(map(chr, range(32))) + "\x7f",
+        "  ",
+        "\ud800 lone surrogate",
+    ],
+)
+def test_strings(tmp_path, text):
+    experiment = Experiment(vessels_data().experiment.tables, ((text, "A'"), ("B", text + "'")))
+    report = build_report(experiment)
+    assert render_machine(report) == _reference_report(report)
+    for node in (text, [text], {text: text}, {"k": [text, {text: [text]}]}):
+        _check_written(tmp_path / "exp.json", experiment, {text: node})
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {},
+        [],
+        [[], {}, [[]], {"": {}}],
+        {"a": {"b": {"c": []}}},
+        [None, True, False, 0, -1, 2**70, 1.5, -0.0],
+        [math.nan, math.inf, -math.inf],
+        {"t": (1, "x", (None,)), "u": ()},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+        {"a": 1, 1: "mixed keys"},
+        {"e": Color.RED, Color.RED: "enum key"},
+        {"s": Label("sub"), Label("key"): 1},
+        collections.OrderedDict(b=1, a=2),
+        {"nested": collections.OrderedDict(b=[1.0])},
+        [{"deep": [{"deeper": [1, {"x": [True]}]}]}],
+    ],
+)
+def test_other_nodes(tmp_path, node):
+    experiment = vessels_data().experiment
+    _check_written(tmp_path / "exp.json", experiment, {"node": node})
+    if isinstance(node, dict):
+        _check_written(tmp_path / "exp.json", experiment, node)
+
+
+def test_deep_nesting_is_written_like_json(tmp_path):
+    for depth in (31, 32, 33, 40, 100):
+        node = "leaf"
+        for level in range(depth):
+            node = {"k": node} if level % 2 else [node, level]
+        _check_written(tmp_path / "exp.json", vessels_data().experiment, {"deep": node})
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError])
+def test_unencodable_nodes_raise_what_json_raises(tmp_path, error):
+    if error is TypeError:
+        cases = [{1, 2}, {"a": [object()]}, {(1, 2): "tuple key"}, b"bytes"]
+    else:
+        loop_list = []
+        loop_list.append(loop_list)
+        loop_dict = {"a": 1}
+        loop_dict["self"] = {"up": [loop_dict]}
+        loop_tuple = {"x": []}
+        loop_tuple["x"].append((loop_tuple,))
+        cases = [loop_list, loop_dict, loop_tuple, {"ok": 1, "m": loop_dict}]
+    for node in cases:
+        got = _check_written(tmp_path / "exp.json", vessels_data().experiment, {"node": node})
+        assert got[0] is error

@@ -26,7 +26,7 @@ from bellbox.hilbert import (
     is_product_vector,
     operator_from_measurement,
 )
-from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector, hermiticity_residual
+from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector, apply, hermiticity_residual
 from bellbox.models import basis_from_probabilities, vessels_alternative_model, vessels_model
 from bellbox.tables import PAIR_ORDER, SettingPair
 
@@ -34,6 +34,7 @@ from oracles import (
     np_random_orthonormal_basis,
     random_product_vector,
     random_unit_cvector,
+    reference_apply,
     reference_block_det,
     reference_bell_operator,
     reference_born_probabilities,
@@ -185,6 +186,13 @@ class TestOperators:
         for operators in combos:
             want = reference_bell_operator({p: m.rows for p, m in operators.items()})
             assert _hex_rows(bell_operator(operators).rows) == _hex_rows(want)
+
+    def test_apply(self):
+        vectors = _unit_vectors(35)
+        for m in _matrices(36):
+            for v in vectors:
+                want = reference_apply(m.rows, v.amplitudes)
+                assert [_hex(z) for z in apply(m, v)] == [_hex(z) for z in want]
 
     def test_hermiticity_residual(self):
         for m in _matrices(33) + _huge_matrices(34):
