@@ -20,8 +20,9 @@ than guessing.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from ._value import Value
 from .tables import (
@@ -91,20 +92,17 @@ class AmbiguousClassError(ValueError):
         )
 
 
-class ChshResult(NamedTuple):
-    """CHSH value of an experiment.
+ChshResult = namedtuple(
+    "ChshResult", "expectations reference_combination max_abs_over_variants variant_signs"
+)
+ChshResult.__doc__ = """CHSH value of an experiment.
 
-    ``expectations`` maps each setting pair to its correlation E;
-    ``reference_combination`` is E(A',B') + E(A',B) + E(A,B') - E(A,B);
-    ``max_abs_over_variants`` is the largest absolute value over the eight
-    sign patterns that place a single minus on one term (up to a global
-    flip), with ``variant_signs`` the achieving pattern.
-    """
-
-    expectations: Mapping[SettingPair, float]
-    reference_combination: float
-    max_abs_over_variants: float
-    variant_signs: Mapping[SettingPair, int]
+``expectations`` maps each setting pair to its correlation E;
+``reference_combination`` is E(A',B') + E(A',B) + E(A,B') - E(A,B);
+``max_abs_over_variants`` is the largest absolute value over the eight
+sign patterns that place a single minus on one term (up to a global
+flip), with ``variant_signs`` the achieving pattern.
+"""
 
 
 #: Positions in PAIR_ORDER of the terms in CHSH_TERM_ORDER.

@@ -22,6 +22,10 @@ the in-memory tables bit for bit.  :func:`write_experiment` fills one fixed
 layout (see :func:`_layout`) and writes what ``json.dumps(..., indent=2)``
 writes for the document; only the metadata goes through ``json.dumps``.
 
+A file is read as bytes and decoded as UTF-8 once; ``\\r\\n`` and a lone
+``\\r`` then become ``\\n``, as in a text-mode read, so the text parsed (and
+a syntax error's line and column) is what a text-mode read gives.
+
 Input is checked here, at the boundary, once: :func:`read_experiment`
 checks the document's keys, labels and decimal strings, and hands each row
 to :func:`tables.normalize`, which checks the values and builds the table;
@@ -42,6 +46,8 @@ from .tables import (
     Experiment,
     PAIR_ORDER,
     TableError,
+    _check_side,
+    _set_experiment,
     normalize,
 )
 
@@ -160,18 +166,6 @@ _FILE_LAYOUT = _layout(
 ) + "\n"
 
 
-def _check_side(path: str | Path, side: str, labels: Any) -> None:
-    """Raise unless ``labels`` are two distinct strings in a list or tuple."""
-    if not (
-        isinstance(labels, (list, tuple))
-        and len(labels) == 2
-        and all(isinstance(label, str) for label in labels)
-    ):
-        raise _fail(path, f"sides.{side}", f"expected two string labels: {labels!r}")
-    if labels[0] == labels[1]:
-        raise _fail(path, f"sides.{side}", f"repeated label {labels[0]!r}")
-
-
 def write_experiment(
     path: str | Path,
     experiment: Experiment,
@@ -179,15 +173,13 @@ def write_experiment(
 ) -> None:
     """Write ``experiment`` and ``metadata`` to ``path`` as ``json.dumps(...,
     indent=2)`` writes the document, each probability as its float's ``repr``.
-    Side labels that would not read back as written and metadata that would
+    The :class:`Experiment` constructor has checked the side labels; labels
+    that would not read back as written and metadata that would
     repeat a key raise :class:`ExperimentFileError`, and metadata that
     ``json.dumps`` cannot encode raises what it raises, before the file is
     opened."""
     sides = experiment.sides
-    if len(sides) != 2:
-        raise _fail(path, "sides", f"expected two sides, got {len(sides)}")
     for side, labels in zip(("first", "second"), sides):
-        _check_side(path, side, labels)
         # JSON reads a surrogate pair written as two lone surrogates as one character
         if not all(map(str.isascii, labels)) and json.loads(json.dumps(labels)) != list(labels):
             raise _fail(path, f"sides.{side}", f"labels {labels!r} would not read back as written")
@@ -207,15 +199,18 @@ def read_experiment(
     """Parse an experiment file; returns the experiment and its metadata.
 
     Checks, in order: JSON without repeated keys; the version; two distinct
-    string labels per side; the settings; per table, each outcome label with
-    a decimal string, no other label, and the row by :func:`tables.normalize`
-    within ``normalize_tol``; the metadata object.
+    string labels per side (the check :class:`Experiment` makes, not made
+    again); the settings; per table, each outcome label with a decimal
+    string, no other label, and the row by :func:`tables.normalize` within
+    ``normalize_tol``; the metadata object.
     """
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
+    if "\r" in text:  # newlines as text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc, repeats = _parse(text)
     except json.JSONDecodeError as exc:
@@ -236,7 +231,10 @@ def read_experiment(
     ):
         raise _fail(path, "sides", "expected {'first': [x, x'], 'second': [y, y']}")
     for side, labels in sides.items():
-        _check_side(path, side, labels)
+        try:
+            _check_side(side, labels)
+        except TableError as exc:
+            raise ExperimentFileError(f"{path}: {exc}") from exc
 
     settings = doc.get("settings")
     if settings != _SETTINGS:
@@ -251,25 +249,28 @@ def read_experiment(
         entry = tables_doc.get(pair.label)
         if not isinstance(entry, dict):
             raise _fail(path, f"tables.{pair.label}", "missing or not an object")
-        values = []
-        for label in pair.outcome_labels:
-            raw = entry.get(label)
-            if raw.__class__ is not str or not raw.isascii() or _JSON_NUMBER(raw) is None:
-                if label not in entry:
-                    raise _fail(path, f"tables.{pair.label}", f"missing outcome {label!r}")
-                raise _fail(
-                    path,
-                    f"tables.{pair.label}.{label}",
-                    f"not a decimal probability: {raw!r}",
-                )
-            values.append(float(raw))
+        raws = tuple(map(entry.get, pair.outcome_labels))
+        try:  # all four are ASCII strings, and each one matches
+            decimal = "".join(raws).isascii() and all(map(_JSON_NUMBER, raws))
+        except TypeError:  # one is not a string
+            decimal = False
+        if not decimal:
+            for label, raw in zip(pair.outcome_labels, raws):
+                if raw.__class__ is not str or not raw.isascii() or _JSON_NUMBER(raw) is None:
+                    if label not in entry:
+                        raise _fail(path, f"tables.{pair.label}", f"missing outcome {label!r}")
+                    raise _fail(
+                        path,
+                        f"tables.{pair.label}.{label}",
+                        f"not a decimal probability: {raw!r}",
+                    )
         if len(entry) != 4:
             extra = set(entry) - set(pair.outcome_labels)
             raise _fail(
                 path, f"tables.{pair.label}", f"unexpected outcome labels {sorted(extra)}"
             )
         try:
-            tables.append(normalize(values, pair, tol=normalize_tol))
+            tables.append(normalize(raws, pair, tol=normalize_tol))
         except TableError as exc:
             raise _fail(path, f"tables.{pair.label}", str(exc)) from exc
 
@@ -277,5 +278,5 @@ def read_experiment(
     if not isinstance(metadata, dict):
         raise _fail(path, "metadata", "must be an object when present")
 
-    experiment = Experiment(tables, (tuple(sides["first"]), tuple(sides["second"])))
-    return experiment, metadata
+    sides = (tuple(sides["first"]), tuple(sides["second"]))
+    return _set_experiment(object.__new__(Experiment), tuple(tables), sides), metadata

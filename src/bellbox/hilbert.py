@@ -30,8 +30,9 @@ model reuses it and its operator.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from ._value import Value
 from .linalg import (
@@ -309,44 +310,31 @@ def is_entangled_measurement(
     )
 
 
-class ModelVerdict(NamedTuple):
-    """Outcome of checking a Hilbert-space construction against data.
+ModelVerdict = namedtuple(
+    "ModelVerdict",
+    "residual_kind residuals measurement_entangled state_entangled hermiticity_residuals"
+    " chsh_from_model chsh_imag_residual tolerance iso passed",
+)
+ModelVerdict.__doc__ = """Outcome of checking a Hilbert-space construction against data.
 
-    ``residual_kind`` records what was compared per measurement:
-    ``"probabilities"`` for full Born distributions (basis-backed models)
-    or ``"expectations"`` for operator expectation values only (models
-    known through their operators, whose degenerate spectra do not
-    determine final states).  ``tolerance`` decided ``passed`` and ``iso``
-    the entanglement flags.
-    """
+``residual_kind`` records what was compared per measurement:
+``"probabilities"`` for full Born distributions (basis-backed models)
+or ``"expectations"`` for operator expectation values only (models
+known through their operators, whose degenerate spectra do not
+determine final states).  ``tolerance`` decided ``passed`` and ``iso``
+the entanglement flags.
+"""
 
-    residual_kind: str
-    residuals: Mapping[SettingPair, float]
-    measurement_entangled: Mapping[SettingPair, bool]
-    state_entangled: bool
-    hermiticity_residuals: Mapping[SettingPair, float]
-    chsh_from_model: float
-    chsh_imag_residual: float
-    tolerance: float
-    iso: Isomorphism
-    passed: bool
+ModelPredictions = namedtuple(
+    "ModelPredictions", "state measurements operators predicted hermiticity_residuals bell_value"
+)
+ModelPredictions.__doc__ = """What a construction predicts, whatever the data and the isomorphism.
 
-
-class ModelPredictions(NamedTuple):
-    """What a construction predicts, whatever the data and the isomorphism.
-
-    ``predicted`` holds per setting pair the Born probabilities in cell
-    order (a construction with ``measurements``) or the expectation value
-    <s|E|s> (one known only through ``operators``).  ``bell_value`` is the
-    full complex <s|B|s> of the :func:`bell_operator`.
-    """
-
-    state: StateVector
-    measurements: Mapping[SettingPair, Measurement] | None
-    operators: Mapping[SettingPair, CMatrix]
-    predicted: Mapping[SettingPair, tuple[float, ...] | float]
-    hermiticity_residuals: Mapping[SettingPair, float]
-    bell_value: complex
+``predicted`` holds per setting pair the Born probabilities in cell
+order (a construction with ``measurements``) or the expectation value
+<s|E|s> (one known only through ``operators``).  ``bell_value`` is the
+full complex <s|B|s> of the :func:`bell_operator`.
+"""
 
 
 def predict_model(

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from functools import cache, cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from ._value import Value
 from .bell import ZooClass
@@ -58,14 +59,8 @@ class InvalidTargetsError(ValueError):
     """Raised when target probabilities for a basis synthesis are invalid."""
 
 
-class Fixture(NamedTuple):
-    """A named reference experiment with its expected analysis results."""
-
-    name: str
-    experiment: Experiment
-    expected_chsh: float
-    chsh_tol: float
-    expected_class: ZooClass
+Fixture = namedtuple("Fixture", "name experiment expected_chsh chsh_tol expected_class")
+Fixture.__doc__ = """A named reference experiment with its expected analysis results."""
 
 
 class NamedModel(Value):

@@ -5,19 +5,21 @@ alone.  Machine output is JSON with a fixed field order and all reals
 formatted to six decimal places, so equal analyses produce byte-equal
 documents.  :func:`render_machine` fills fixed layouts, made at import,
 with the report's values; it writes what ``json.dumps(..., indent=2)``
-writes for the report as a JSON object, byte for byte.
+writes for the report as a JSON object, byte for byte.  :func:`render_text`
+fills ``%`` layouts made at import too (``%.6f``, ``%g`` and ``%-3s`` write
+what ``{:.6f}``, ``{:g}`` and ``{:3s}`` write); setting labels are part of
+them, side labels, names and ``zoo_error`` are only filled in.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple
 
 from .bell import (
     AmbiguousClassError,
     BOUNDS,
     CHSH_TERM_ORDER,
-    ChshResult,
     ZooClass,
     chsh,
     decide_class,
@@ -27,22 +29,15 @@ from .hilbert import ModelVerdict
 from .models import NamedModel
 from .tables import (
     Experiment,
-    FactorizationVerdict,
     Factors,
-    MarginalLawReport,
     PAIR_ORDER,
-    SettingPair,
     factorization_test,
     marginal_law_report,
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 #: The bounds as both reports print them.
-_BOUNDS_TEXT = {name: _fmt(getattr(BOUNDS, name)) for name in BOUNDS._fields}
+_BOUNDS_TEXT = {name: f"{getattr(BOUNDS, name):.6f}" for name in BOUNDS._fields}
 _BOUNDS_LINE = "  bounds: " + ", ".join(f"{name} {text}" for name, text in _BOUNDS_TEXT.items())
 
 #: Each setting label as a JSON string.
@@ -90,15 +85,44 @@ _MODEL_LAYOUT = _layout(
     "  ",
 )
 
+#: The text report: its head, up to the marginal-law line; one line per
+#: marginal-law comparison; per setting pair, one of two factorization
+#: lines; and the model block.
+_TEXT_HEAD = "\n".join(
+    [
+        "expectation values",
+        *[f"  E({p.first},{p.second}) = %.6f" for p in PAIR_ORDER],
+        "chsh",
+        "  combination  = %.6f",
+        "  max |variant| = %.6f",
+        "  achieved by  " + " ".join(f"%sE({p.first},{p.second})" for p in CHSH_TERM_ORDER),
+        _BOUNDS_LINE,
+        "marginal law: %s (tol %g)\n",
+    ]
+)
+_COMPARISON_LINE = (
+    "  setting %-3s (%s vs %s): marginals (%.6f, %.6f) vs (%.6f, %.6f), |diff| %.6f -> %s\n"
+)
+_FACTORIZABLE_LINE = {
+    p: f"  {p.label:4s}: factorizable, a=%.6f b=%.6f a'=%.6f b'=%.6f (residual %.6f)\n"
+    for p in PAIR_ORDER
+}
+_NOT_FACTORIZABLE_LINE = {
+    p: f"  {p.label:4s}: not factorizable (residual %.6f)\n" for p in PAIR_ORDER
+}
+_TEXT_MODEL = "\n".join(
+    [
+        "model %s (alpha=%g, beta=%g, iso=%s)",
+        "  verification (%s, tol %g): %s",
+        *[f"  {p.label:4s}: residual %.6f, hermiticity %.6f, %s" for p in PAIR_ORDER],
+        "  state: %s; model chsh %.6f (imag residual %.6f)\n",
+    ]
+)
 
-class Report(NamedTuple):
-    chsh: ChshResult
-    marginal_law: MarginalLawReport
-    factorization: dict[SettingPair, FactorizationVerdict]
-    zoo_class: ZooClass | None
-    zoo_error: str | None
-    #: A named construction and its verdict on the analyzed data, if checked.
-    model: tuple[NamedModel, ModelVerdict] | None
+
+Report = namedtuple("Report", "chsh marginal_law factorization zoo_class zoo_error model")
+Report.__doc__ = """An analysis; ``model`` is a named construction and its verdict on
+the analyzed data, if one was checked."""
 
 
 def build_report(
@@ -113,9 +137,7 @@ def build_report(
         zoo_error = None
     except AmbiguousClassError as exc:
         zoo_class, zoo_error = None, str(exc)
-    factorization = {
-        pair: factorization_test(table) for pair, table in zip(PAIR_ORDER, experiment.tables)
-    }
+    factorization = dict(zip(PAIR_ORDER, map(factorization_test, experiment.tables)))
     return Report(chsh_result, marginal_law, factorization, zoo_class, zoo_error, model)
 
 
@@ -165,66 +187,48 @@ def render_machine(report: Report) -> str:
 
 def render_text(report: Report) -> str:
     c = report.chsh
-    lines = []
-    lines.append("expectation values")
-    for p in PAIR_ORDER:
-        lines.append(f"  E({p.first},{p.second}) = {_fmt(c.expectations[p])}")
-    lines.append("chsh")
-    lines.append(f"  combination  = {_fmt(c.reference_combination)}")
-    lines.append(f"  max |variant| = {_fmt(c.max_abs_over_variants)}")
-    signs = " ".join(
-        f"{'+' if c.variant_signs[p] > 0 else '-'}E({p.first},{p.second})"
-        for p in CHSH_TERM_ORDER
-    )
-    lines.append(f"  achieved by  {signs}")
-    lines.append(_BOUNDS_LINE)
     ml = report.marginal_law
-    lines.append(f"marginal law: {'holds' if ml.holds else 'violated'} (tol {ml.tol:g})")
-    for m in ml.comparisons:
-        lines.append(
-            f"  setting {m.setting:3s} ({m.pairs[0].label} vs {m.pairs[1].label}): "
-            f"marginals ({_fmt(m.marginal_a[0])}, {_fmt(m.marginal_a[1])}) vs "
-            f"({_fmt(m.marginal_b[0])}, {_fmt(m.marginal_b[1])}), "
-            f"|diff| {_fmt(max(m.differences))} -> "
-            f"{'ok' if m.holds else 'violated'}"
+    parts = [
+        _TEXT_HEAD
+        % (
+            *map(c.expectations.__getitem__, PAIR_ORDER), c.reference_combination,
+            c.max_abs_over_variants,
+            *["+" if c.variant_signs[p] > 0 else "-" for p in CHSH_TERM_ORDER],
+            "holds" if ml.holds else "violated", ml.tol,
         )
-    lines.append("factorization per table")
+    ]
+    for m in ml.comparisons:
+        parts.append(
+            _COMPARISON_LINE
+            % (
+                m.setting, m.pairs[0].label, m.pairs[1].label, *m.marginal_a, *m.marginal_b,
+                max(m.differences), "ok" if m.holds else "violated",
+            )
+        )
+    parts.append("factorization per table\n")
     for p in PAIR_ORDER:
-        verdict = report.factorization[p]
-        if verdict.factorizable and verdict.factors:
-            f = verdict.factors
-            lines.append(
-                f"  {p.label:4s}: factorizable, a={_fmt(f.a)} b={_fmt(f.b)} "
-                f"a'={_fmt(f.a_prime)} b'={_fmt(f.b_prime)} "
-                f"(residual {_fmt(verdict.residual)})"
-            )
+        f = report.factorization[p]
+        if f.factorizable and f.factors:
+            parts.append(_FACTORIZABLE_LINE[p] % (*f.factors, f.residual))
         else:
-            lines.append(
-                f"  {p.label:4s}: not factorizable (residual {_fmt(verdict.residual)})"
-            )
+            parts.append(_NOT_FACTORIZABLE_LINE[p] % f.residual)
     if report.zoo_class is not None:
-        lines.append(f"class: {report.zoo_class.value}")
+        parts.append("class: %s\n" % report.zoo_class.value)
     else:
-        lines.append(f"class: unresolved ({report.zoo_error})")
+        parts.append("class: unresolved (%s)\n" % (report.zoo_error,))
     if report.model is not None:
         model, v = report.model
-        lines.append(
-            f"model {model.name} (alpha={model.alpha:g}, beta={model.beta:g}, "
-            f"iso={v.iso.name})"
-        )
-        lines.append(
-            f"  verification ({v.residual_kind}, tol {v.tolerance:g}): "
-            f"{'pass' if v.passed else 'FAIL'}"
-        )
+        rows = []
         for p in PAIR_ORDER:
-            lines.append(
-                f"  {p.label:4s}: residual {_fmt(v.residuals[p])}, "
-                f"hermiticity {_fmt(v.hermiticity_residuals[p])}, "
-                f"{'entangled' if v.measurement_entangled[p] else 'product'}"
+            entangled = "entangled" if v.measurement_entangled[p] else "product"
+            rows += (v.residuals[p], v.hermiticity_residuals[p], entangled)
+        parts.append(
+            _TEXT_MODEL
+            % (
+                model.name, model.alpha, model.beta, v.iso.name, v.residual_kind, v.tolerance,
+                "pass" if v.passed else "FAIL", *rows,
+                "entangled" if v.state_entangled else "product", v.chsh_from_model,
+                v.chsh_imag_residual,
             )
-        lines.append(
-            f"  state: {'entangled' if v.state_entangled else 'product'}; "
-            f"model chsh {_fmt(v.chsh_from_model)} "
-            f"(imag residual {_fmt(v.chsh_imag_residual)})"
         )
-    return "\n".join(lines) + "\n"
+    return "".join(parts)

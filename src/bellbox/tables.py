@@ -17,8 +17,9 @@ is not checked again.  Sums add left to right from 0.0, as the builtin
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from ._value import Value
 
@@ -186,20 +187,21 @@ def normalize(
     vals = tuple(map(float, values))
     if len(vals) != 4:
         raise TableError(f"expected 4 probabilities, got {len(vals)}")
-    total = 0.0
-    for label, value in zip(pair.outcome_labels, vals):
-        if not 0.0 <= value < math.inf:
-            if math.isfinite(value):
-                raise NegativeEntryError(f"entry {label} = {value!r} is negative")
-            raise TableError(f"entry {label} = {value!r} is not finite")
-        total += value
+    p11, p12, p21, p22 = vals
+    inf = math.inf
+    if not (0.0 <= p11 < inf and 0.0 <= p12 < inf and 0.0 <= p21 < inf and 0.0 <= p22 < inf):
+        for label, value in zip(pair.outcome_labels, vals):
+            if not 0.0 <= value < inf:
+                if math.isfinite(value):
+                    raise NegativeEntryError(f"entry {label} = {value!r} is negative")
+                raise TableError(f"entry {label} = {value!r} is not finite")
+    total = 0.0 + p11 + p12 + p21 + p22
     if not abs(total - 1.0) <= tol:
         raise NotNormalizableError(
             f"table {pair.label} sums to {total!r}; |sum - 1| exceeds tol={tol}"
         )
-    if not 0.0 < total < math.inf:
+    if not 0.0 < total < inf:
         raise NotNormalizableError(f"table {pair.label} sums to {total!r}; it cannot be rescaled")
-    p11, p12, p21, p22 = vals
     if abs(total - 1.0) > ENTRY_EPS:
         p11, p12, p21, p22 = p11 / total, p12 / total, p21 / total, p22 / total
     # each entry is at most the sum, so the entries are in [0, 1], and they sum
@@ -207,9 +209,24 @@ def normalize(
     return _fill(object.__new__(JointTable), p11, p12, p21, p22, pair)
 
 
+def _check_side(side: str, labels: object) -> None:
+    """Raise :class:`TableError` naming ``sides.<side>`` unless ``labels``
+    are two distinct strings in a list or tuple."""
+    if not (
+        isinstance(labels, (list, tuple))
+        and len(labels) == 2
+        and isinstance(labels[0], str)
+        and isinstance(labels[1], str)
+    ):
+        raise TableError(f"sides.{side}: expected two string labels: {labels!r}")
+    if labels[0] == labels[1]:
+        raise TableError(f"sides.{side}: repeated label {labels[0]!r}")
+
+
 class Experiment(Value):
     """Four joint tables, one per setting pair in :data:`PAIR_ORDER`, plus
-    side labels; both are stored as tuples, whatever sequences they came in."""
+    two sides of two distinct string labels each; both are stored as tuples,
+    whatever sequences they came in."""
 
     _fields = ("tables", "sides")
 
@@ -225,8 +242,12 @@ class Experiment(Value):
                 f"tables must appear in order {[p.label for p in PAIR_ORDER]}, "
                 f"got {[p.label for p in pairs]}"
             )
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "sides", tuple(map(tuple, sides)))
+        sides = tuple(sides)
+        if len(sides) != 2:
+            raise TableError(f"sides: expected two sides, got {len(sides)}")
+        _check_side("first", sides[0])
+        _check_side("second", sides[1])
+        _set_experiment(self, tables, (tuple(sides[0]), tuple(sides[1])))
 
     @classmethod
     def from_tables(
@@ -246,6 +267,13 @@ class Experiment(Value):
             raise ValueError(f"{pair!r} is not a setting pair") from None
 
 
+def _set_experiment(experiment: Experiment, tables: tuple, sides: tuple) -> Experiment:
+    """Set the fields of ``experiment``: tables in :data:`PAIR_ORDER`, and two
+    tuples of side labels that pass :func:`_check_side`."""
+    vars(experiment).update(tables=tables, sides=sides)
+    return experiment
+
+
 def expectation_value(table: JointTable) -> float:
     """Correlation E = p11 - p12 - p21 + p22 for +-1 outcome values."""
     return table.p11 - table.p12 - table.p21 + table.p22
@@ -258,23 +286,14 @@ def marginals(table: JointTable) -> tuple[tuple[float, float], tuple[float, floa
     return first, second
 
 
-class MarginalComparison(NamedTuple):
-    """One side's marginal under a fixed setting, compared across the two
-    tables that share that setting."""
+MarginalComparison = namedtuple(
+    "MarginalComparison", "side setting pairs marginal_a marginal_b differences holds"
+)
+MarginalComparison.__doc__ = """One side's marginal under a fixed setting, compared across the two
+tables that share that setting; ``side`` is ``"first"`` or ``"second"`` and
+``setting`` that side's label, e.g. ``A'``."""
 
-    side: str  # "first" or "second"
-    setting: str  # e.g. "A", "A'", "B", "B'"
-    pairs: tuple[SettingPair, SettingPair]
-    marginal_a: tuple[float, float]
-    marginal_b: tuple[float, float]
-    differences: tuple[float, float]
-    holds: bool
-
-
-class MarginalLawReport(NamedTuple):
-    comparisons: tuple[MarginalComparison, ...]
-    tol: float
-    holds: bool
+MarginalLawReport = namedtuple("MarginalLawReport", "comparisons tol holds")
 
 
 #: The marginal-law comparisons: side, its index, the setting's index on
@@ -312,19 +331,10 @@ def marginal_law_report(experiment: Experiment, tol: float = CLASS_TOL) -> Margi
     return MarginalLawReport(tuple(comparisons), tol, holds)
 
 
-class Factors(NamedTuple):
-    """Normalized one-sided probabilities with a + a' = 1 and b + b' = 1."""
+Factors = namedtuple("Factors", "a b a_prime b_prime")
+Factors.__doc__ = """Normalized one-sided probabilities with a + a' = 1 and b + b' = 1."""
 
-    a: float
-    b: float
-    a_prime: float
-    b_prime: float
-
-
-class FactorizationVerdict(NamedTuple):
-    factorizable: bool
-    factors: Factors | None
-    residual: float
+FactorizationVerdict = namedtuple("FactorizationVerdict", "factorizable factors residual")
 
 
 def factorization_test(table: JointTable, tol: float = EXACT_TOL) -> FactorizationVerdict:

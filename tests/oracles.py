@@ -12,10 +12,13 @@ must match bit for bit.  So does the reference analyze path
 (``reference_read_experiment``, ``reference_normalize``, ``reference_chsh``,
 ``reference_marginal_law_report``): the straightforward forms of the file
 reader and the analysis, with the builtin ``sum`` of Python 3.11 spelled
-out so that they give 3.11's floats on every version.  The reference
-documents (``reference_machine_payload``, ``reference_file_document``) are
-the objects whose ``json.dumps(..., indent=2)`` the two writers must write
-byte for byte.
+out so that they give 3.11's floats on every version.
+``reference_text_mode_read_experiment`` reads a file in text mode and checks
+it one value at a time, as the reader must.  The reference documents
+(``reference_machine_payload``, ``reference_file_document``) are the objects
+whose ``json.dumps(..., indent=2)`` the two writers must write byte for
+byte, and ``reference_render_text`` writes the text report one f-string per
+line.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import itertools
 import json
 import math
 import random
+from json.scanner import NUMBER_RE
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -572,6 +576,80 @@ def reference_read_experiment(path, normalize_tol: float = DEFAULT_NORM_TOL):
     return experiment, metadata
 
 
+def reference_text_mode_read_experiment(path, normalize_tol: float = DEFAULT_NORM_TOL):
+    """``read_experiment`` with the file read in text mode, as
+    ``open(path, encoding="utf-8").read()`` reads it (newlines translated),
+    followed by the reader's checks spelled out one value at a time:
+    probabilities are decimal strings and a side's labels differ."""
+
+    def fail(where: str, problem: str) -> ExperimentFileError:
+        return ExperimentFileError(f"{path}: {where}: {problem}")
+
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc
+    try:
+        doc, repeats = _reference_parse(text)
+    except json.JSONDecodeError as exc:
+        raise fail(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    if not isinstance(doc, dict):
+        raise fail("document", "top level must be a JSON object")
+    if repeats:
+        where, key = _reference_find_repeated(doc, "document")
+        raise fail(where, f"duplicate key {key!r}")
+    version = doc.get("version")
+    if version != FORMAT_VERSION:
+        raise fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
+    sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
+    if not isinstance(sides, dict) or set(sides) != {"first", "second"}:
+        raise fail("sides", "expected {'first': [x, x'], 'second': [y, y']}")
+    for side, labels in sides.items():
+        if not (
+            isinstance(labels, list)
+            and len(labels) == 2
+            and all(isinstance(label, str) for label in labels)
+        ):
+            raise fail(f"sides.{side}", f"expected two string labels: {labels!r}")
+        if labels[0] == labels[1]:
+            raise fail(f"sides.{side}", f"repeated label {labels[0]!r}")
+    settings = doc.get("settings")
+    expected_settings = [pair.label for pair in PAIR_ORDER]
+    if settings != expected_settings:
+        raise fail("settings", f"expected {expected_settings}, got {settings!r}")
+    tables_doc = doc.get("tables")
+    if not isinstance(tables_doc, dict):
+        raise fail("tables", "missing or not an object")
+    tables = {}
+    for pair in PAIR_ORDER:
+        entry = tables_doc.get(pair.label)
+        if not isinstance(entry, dict):
+            raise fail(f"tables.{pair.label}", "missing or not an object")
+        values = []
+        for label in pair.outcome_labels:
+            if label not in entry:
+                raise fail(f"tables.{pair.label}", f"missing outcome {label!r}")
+            raw = entry[label]
+            if not (isinstance(raw, str) and raw.isascii() and NUMBER_RE.fullmatch(raw)):
+                raise fail(f"tables.{pair.label}.{label}", f"not a decimal probability: {raw!r}")
+            values.append(float(raw))
+        extra = set(entry) - set(pair.outcome_labels)
+        if extra:
+            raise fail(f"tables.{pair.label}", f"unexpected outcome labels {sorted(extra)}")
+        try:
+            tables[pair] = reference_normalize(values, pair, tol=normalize_tol)
+        except TableError as exc:
+            raise fail(f"tables.{pair.label}", str(exc)) from exc
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise fail("metadata", "must be an object when present")
+    experiment = Experiment.from_tables(
+        tables, sides=(tuple(sides["first"]), tuple(sides["second"]))
+    )
+    return experiment, metadata
+
+
 def reference_chsh(experiment: Experiment) -> ChshResult:
     """``chsh`` with a dict of signs per pattern and a ``sum`` per total."""
     values = {pair: expectation_value(experiment.table(pair)) for pair in CHSH_TERM_ORDER}
@@ -719,3 +797,74 @@ def reference_file_document(experiment: Experiment, metadata) -> dict[str, Any]:
         },
         "metadata": dict(metadata) if metadata else {},
     }
+
+
+def reference_render_text(report) -> str:
+    """The text report of ``report``, one f-string per line."""
+    c = report.chsh
+    lines = []
+    lines.append("expectation values")
+    for p in PAIR_ORDER:
+        lines.append(f"  E({p.first},{p.second}) = {_fmt(c.expectations[p])}")
+    lines.append("chsh")
+    lines.append(f"  combination  = {_fmt(c.reference_combination)}")
+    lines.append(f"  max |variant| = {_fmt(c.max_abs_over_variants)}")
+    signs = " ".join(
+        f"{'+' if c.variant_signs[p] > 0 else '-'}E({p.first},{p.second})"
+        for p in CHSH_TERM_ORDER
+    )
+    lines.append(f"  achieved by  {signs}")
+    lines.append(
+        f"  bounds: classical {_fmt(BOUNDS.classical)}, tsirelson {_fmt(BOUNDS.tsirelson)}, "
+        f"algebraic {_fmt(BOUNDS.algebraic)}"
+    )
+    ml = report.marginal_law
+    lines.append(f"marginal law: {'holds' if ml.holds else 'violated'} (tol {ml.tol:g})")
+    for m in ml.comparisons:
+        lines.append(
+            f"  setting {m.setting:3s} ({m.pairs[0].label} vs {m.pairs[1].label}): "
+            f"marginals ({_fmt(m.marginal_a[0])}, {_fmt(m.marginal_a[1])}) vs "
+            f"({_fmt(m.marginal_b[0])}, {_fmt(m.marginal_b[1])}), "
+            f"|diff| {_fmt(max(m.differences))} -> "
+            f"{'ok' if m.holds else 'violated'}"
+        )
+    lines.append("factorization per table")
+    for p in PAIR_ORDER:
+        verdict = report.factorization[p]
+        if verdict.factorizable and verdict.factors:
+            f = verdict.factors
+            lines.append(
+                f"  {p.label:4s}: factorizable, a={_fmt(f.a)} b={_fmt(f.b)} "
+                f"a'={_fmt(f.a_prime)} b'={_fmt(f.b_prime)} "
+                f"(residual {_fmt(verdict.residual)})"
+            )
+        else:
+            lines.append(
+                f"  {p.label:4s}: not factorizable (residual {_fmt(verdict.residual)})"
+            )
+    if report.zoo_class is not None:
+        lines.append(f"class: {report.zoo_class.value}")
+    else:
+        lines.append(f"class: unresolved ({report.zoo_error})")
+    if report.model is not None:
+        model, v = report.model
+        lines.append(
+            f"model {model.name} (alpha={model.alpha:g}, beta={model.beta:g}, "
+            f"iso={v.iso.name})"
+        )
+        lines.append(
+            f"  verification ({v.residual_kind}, tol {v.tolerance:g}): "
+            f"{'pass' if v.passed else 'FAIL'}"
+        )
+        for p in PAIR_ORDER:
+            lines.append(
+                f"  {p.label:4s}: residual {_fmt(v.residuals[p])}, "
+                f"hermiticity {_fmt(v.hermiticity_residuals[p])}, "
+                f"{'entangled' if v.measurement_entangled[p] else 'product'}"
+            )
+        lines.append(
+            f"  state: {'entangled' if v.state_entangled else 'product'}; "
+            f"model chsh {_fmt(v.chsh_from_model)} "
+            f"(imag residual {_fmt(v.chsh_imag_residual)})"
+        )
+    return "\n".join(lines) + "\n"

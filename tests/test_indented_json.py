@@ -6,7 +6,9 @@ reference document in ``oracles`` (``reference_machine_payload``,
 ``reference_file_document``), whatever the side labels and the metadata, and
 the file writer must raise what ``json.dumps`` raises for metadata it cannot
 encode, before it opens the file.  Reports and files are also checked by
-re-encoding what they parse to.
+re-encoding what they parse to.  ``report.render_text`` fills fixed layouts
+too, and must write what ``oracles.reference_render_text``, one f-string
+per line, writes.
 """
 
 import collections
@@ -28,10 +30,10 @@ from bellbox.models import (
     vessels_data,
     vessels_separated_data,
 )
-from bellbox.report import build_report, render_machine
+from bellbox.report import build_report, render_machine, render_text
 from bellbox.tables import DEFAULT_SIDES, PAIR_ORDER, Experiment, JointTable
 
-from oracles import reference_file_document, reference_machine_payload
+from oracles import reference_file_document, reference_machine_payload, reference_render_text
 
 
 def _outcome(fn, *args):
@@ -239,6 +241,18 @@ def test_machine_report_matches_the_reference(experiment, choice, alpha, beta):
 
 
 @settings(max_examples=200, deadline=None)
+@given(experiments, model_choices, phases, phases)
+def test_text_report_matches_the_reference(experiment, choice, alpha, beta):
+    model = None
+    if choice is not None:
+        name, iso = choice
+        named = get_model(name, alpha, beta)
+        model = (named, named.verify(experiment, iso=ISOMORPHISMS[iso]))
+    report = build_report(experiment, model=model)
+    assert render_text(report) == reference_render_text(report)
+
+
+@settings(max_examples=200, deadline=None)
 @given(experiments, st.none() | st.dictionaries(keys, trees, max_size=4))
 def test_matches_json_dumps(tmp_path_factory, experiment, metadata):
     _check_written(tmp_path_factory.getbasetemp() / "written.json", experiment, metadata)
@@ -261,6 +275,7 @@ def test_strings(tmp_path, text):
     experiment = Experiment(vessels_data().experiment.tables, ((text, "A'"), ("B", text + "'")))
     report = build_report(experiment)
     assert render_machine(report) == _reference_report(report)
+    assert render_text(report) == reference_render_text(report)
     for node in (text, [text], {text: text}, {"k": [text, {text: [text]}]}):
         _check_written(tmp_path / "exp.json", experiment, {text: node})
 

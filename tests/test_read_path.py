@@ -8,7 +8,10 @@ rounded rows, both must give the same floats (compared by ``float.hex``),
 and over mutated documents the same exception type and message.  The only
 documents on which they may differ are those the reader now rejects on
 purpose: a probability that is not a decimal string, and a side whose two
-labels repeat.
+labels repeat.  Against ``reference_text_mode_read_experiment``, which reads
+the file in text mode and checks one value at a time, every mutated
+document and every file with other line endings, a byte-order mark or
+invalid UTF-8 must give the same result exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from bellbox.expfile import ExperimentFileError, read_experiment, write_experime
 from bellbox.tables import (
     PAIR_ORDER,
     Experiment,
+    NegativeEntryError,
     NotNormalizableError,
     SettingPair,
+    TableError,
     marginal_law_report,
     normalize,
 )
@@ -41,6 +46,7 @@ from oracles import (
     reference_marginal_law_report,
     reference_normalize,
     reference_read_experiment,
+    reference_text_mode_read_experiment,
 )
 
 #: Which setting of each side a pair uses: (first index, second index).
@@ -247,6 +253,32 @@ def test_normalize_matches_the_reference():
             assert outcomes[0][2].endswith("; it cannot be rescaled"), (row, tol)
 
 
+@pytest.mark.parametrize("pair", PAIR_ORDER, ids=lambda pair: pair.label)
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize(
+    "bad,error,problem",
+    [
+        (-0.25, NegativeEntryError, "is negative"),
+        (-math.inf, TableError, "is not finite"),
+        (math.inf, TableError, "is not finite"),
+        (math.nan, TableError, "is not finite"),
+    ],
+)
+def test_normalize_names_the_first_bad_entry(pair, position, bad, error, problem):
+    row = [0.25, 0.25, 0.25, 0.25]
+    row[position] = bad
+    for later in range(position + 1, 4):
+        row[later] = -1.0 if later % 2 else math.nan
+    label = pair.outcome_labels[position]
+    with pytest.raises(error) as info:
+        normalize(row, pair)
+    assert type(info.value) is error
+    assert str(info.value) == f"entry {label} = {bad!r} {problem}"
+    with pytest.raises(error) as info:
+        reference_normalize(row, pair)
+    assert str(info.value) == f"entry {label} = {bad!r} {problem}"
+
+
 # ---------------------------------------------------------------------------
 # mutated documents: the same error, or a deliberate rejection
 # ---------------------------------------------------------------------------
@@ -355,6 +387,7 @@ def test_mutated_documents_fail_as_the_reference_does(corpus_dir, name):
     for k, mutant in enumerate(_mutants(DOCUMENTS[name], rng)):
         path = _write(corpus_dir, f"{name}-mutant-{k}", mutant)
         ours = _outcome(read_experiment, path)
+        assert ours == _outcome(reference_text_mode_read_experiment, path), mutant
         theirs = _outcome(reference_read_experiment, path)
         if ours != theirs:
             assert _deliberately_rejected(mutant), (mutant, ours, theirs)
@@ -363,6 +396,51 @@ def test_mutated_documents_fail_as_the_reference_does(corpus_dir, name):
                              r"sides\.(first|second): repeated label)", ours[2]), ours
             deliberate += 1
     assert deliberate > 0
+
+
+# ---------------------------------------------------------------------------
+# decoding: the same text as a text-mode read
+# ---------------------------------------------------------------------------
+
+
+def _text(name: str = "quantum-0") -> str:
+    return json.dumps(DOCUMENTS[name], indent=2, ensure_ascii=False)
+
+
+def _big_metadata() -> bytes:
+    doc = copy.deepcopy(DOCUMENTS["quantum-0"])
+    doc["metadata"]["notes"] = ["é ☃ 😀 ✓ ü", "αβγ\u2028", "\r\n"] * 700
+    text = json.dumps(doc, indent=2, ensure_ascii=False)
+    assert len(text.encode()) > 3 * 8192
+    return text.replace("\n", "\r\n").encode()
+
+
+#: Files whose bytes only a text-mode read decodes as given: newlines are
+#: translated, a byte-order mark is kept, and invalid UTF-8 fails.
+ENCODED = {
+    "crlf": lambda: _text().replace("\n", "\r\n").encode(),
+    "cr-syntax-error": lambda: '{\r  "version": 1,\r  "sides" {}\r}'.encode(),
+    "crlf-syntax-error": lambda: '{\r\n  "version": 1,\r\n  "sides" {}\r\n}'.encode(),
+    "mixed-newlines": lambda: _text().replace(",\n", ",\r").replace("{\n", "{\r\r\n").encode(),
+    "bom": lambda: b"\xef\xbb\xbf" + _text().encode(),
+    "invalid-utf8": lambda: _text().encode().replace(b'"family"', b'"fam\xffily"'),
+    "truncated-utf8": lambda: _big_metadata()[:-3] + "é".encode()[:1],
+    "big-multibyte-metadata": _big_metadata,
+}
+
+
+@pytest.mark.parametrize("name", ENCODED)
+def test_reads_as_a_text_mode_read_does(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(ENCODED[name]())
+    ours = _outcome(read_experiment, path)
+    assert ours == _outcome(reference_text_mode_read_experiment, path)
+    if name.endswith("syntax-error"):
+        assert ours[2] == f"{path}: line 3, column 11: Expecting ':' delimiter"
+    elif name in ("crlf", "mixed-newlines", "big-multibyte-metadata"):
+        assert ours[0] == "loaded"
+    else:
+        assert ours[:2] == ("raised", ExperimentFileError)
 
 
 # ---------------------------------------------------------------------------
