@@ -24,7 +24,15 @@ its sums in a fixed order with explicit loops, never with ``sum``, and
 gives the same floats, bit for bit, as the straightforward forms kept in
 ``tests/oracles.py``.  Measurements are immutable and may be shared:
 ``models`` builds each canonical-basis measurement once, and every vessel
-model reuses it and its operator.
+model reuses it.
+
+A construction given by its measurements is predicted from their Born
+tables alone.  Its Bell value is the CHSH combination of the expectations
+sum x_k p_k, which equals <s|B|s> by linearity, and its Hermiticity
+residuals are 0.0: an operator in spectral form with real outcomes is
+Hermitian bit for bit, since entries (i, j) and (j, i) add the same
+products, conjugated.  So no operator matrix is built to verify it;
+:attr:`Measurement.operator` builds one on request.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from .linalg import (
     DIM,
     CMatrix,
     CVector,
-    expectation,
     hermiticity_residual,
     quadratic_form,
 )
@@ -209,11 +216,16 @@ def operator_from_measurement(measurement: Measurement) -> CMatrix:
     return CMatrix(rows)
 
 
+#: The terms of the CHSH combination in :data:`bell.CHSH_TERM_ORDER`, each
+#: with whether :data:`bell.REFERENCE_SIGNS` adds it (True) or subtracts it.
+_BELL_TERMS = tuple((p, REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER)
+
+
 def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
     """The CHSH combination of ``operators`` with the signs of
     :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB, summed
     entry by entry in :data:`bell.CHSH_TERM_ORDER`."""
-    terms = [(operators[p].rows, REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER]
+    terms = [(operators[p].rows, plus) for p, plus in _BELL_TERMS]
     rows = []
     for i in range(DIM):
         row = []
@@ -330,30 +342,56 @@ ModelPredictions = namedtuple(
 )
 ModelPredictions.__doc__ = """What a construction predicts, whatever the data and the isomorphism.
 
-``predicted`` holds per setting pair the Born probabilities in cell
-order (a construction with ``measurements``) or the expectation value
+A construction has either ``measurements`` or ``operators``; the other is
+``None``.  ``predicted`` holds per setting pair the Born probabilities in
+cell order (a construction with ``measurements``) or the expectation value
 <s|E|s> (one known only through ``operators``).  ``bell_value`` is the
-full complex <s|B|s> of the :func:`bell_operator`.
+CHSH combination of the per-pair expectations: a float from the Born
+tables, or the complex sum of the quadratic forms <s|E|s>.
 """
+
+
+def _bell_combination(values: Mapping[SettingPair, complex]) -> complex:
+    """E_A'B' + E_A'B + E_AB' - E_AB of per-pair values, with the signs of
+    :data:`bell.REFERENCE_SIGNS`, added left to right in
+    :data:`bell.CHSH_TERM_ORDER` from 0.0."""
+    total = 0.0
+    for pair, plus in _BELL_TERMS:
+        total = total + values[pair] if plus else total - values[pair]
+    return total
 
 
 def predict_model(
     state: StateVector,
     measurements: Mapping[SettingPair, Measurement] | None,
-    operators: Mapping[SettingPair, CMatrix],
+    operators: Mapping[SettingPair, CMatrix] | None,
 ) -> ModelPredictions:
-    """The :class:`ModelPredictions` of a construction."""
+    """The :class:`ModelPredictions` of a construction given by exactly one
+    of ``measurements`` and ``operators``: from the four Born tables (each
+    pair's expectation is 0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its
+    outcomes x, each Hermiticity residual 0.0), or from the quadratic
+    forms <s|E|s> and the measured Hermiticity residuals."""
     if measurements is not None:
-        predicted = {p: born_probabilities(state, measurements[p]).values for p in PAIR_ORDER}
+        predicted = {}
+        expectations = {}
+        for pair in PAIR_ORDER:
+            measurement = measurements[pair]
+            predicted[pair] = probabilities = born_probabilities(state, measurement).values
+            p0, p1, p2, p3 = probabilities
+            x0, x1, x2, x3 = measurement.outcomes
+            expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
+        hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
     else:
-        predicted = {p: expectation(operators[p], state.vector) for p in PAIR_ORDER}
+        expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
+        predicted = {p: z.real for p, z in expectations.items()}
+        hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
     return ModelPredictions(
         state=state,
         measurements=measurements,
         operators=operators,
         predicted=predicted,
-        hermiticity_residuals={p: hermiticity_residual(operators[p]) for p in PAIR_ORDER},
-        bell_value=quadratic_form(bell_operator(operators), state.vector),
+        hermiticity_residuals=hermiticity,
+        bell_value=_bell_combination(expectations),
     )
 
 
@@ -412,8 +450,8 @@ def verify_model(
     product_tol: float = EXACT_TOL,
 ) -> ModelVerdict:
     """Check a construction given by its state and measurements against
-    the data tables: :func:`predict_model`, then :func:`verify_predictions`."""
-    operators = {p: measurements[p].operator for p in PAIR_ORDER}
+    the data tables: :func:`predict_model`, then :func:`verify_predictions`.
+    No operator matrix is built."""
     return verify_predictions(
-        predict_model(state, measurements, operators), data, tol, iso, product_tol
+        predict_model(state, measurements, None), data, tol, iso, product_tol
     )

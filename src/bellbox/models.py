@@ -17,7 +17,9 @@ a state plus four measurements reproducing its probabilities.  The two
 vessel constructions differ in where the entanglement sits (state vs.
 measurements), which is the point of keeping both.  Their canonical
 product-basis measurements do not depend on the phases, so each is built
-once, on first use, and shared by every vessel model.
+once, on first use, and shared by every vessel model.  A vessel model has
+no operator matrices: it is verified from its Born tables (see
+``hilbert``).
 """
 
 from __future__ import annotations
@@ -66,14 +68,17 @@ Fixture.__doc__ = """A named reference experiment with its expected analysis res
 class NamedModel(Value):
     """A named Hilbert-space construction paired with a reference fixture.
 
-    ``measurements`` holds labeled final-state bases when the construction
-    provides them; the animal-acts model is known only through its
-    operator matrices (their +-1 spectra are degenerate, so final states
-    cannot be recovered), in which case ``measurements`` is ``None`` and
-    verification compares expectation values instead of Born
-    distributions.  ``product_tol`` decides when a measurement or operator
-    counts as entangled.  ``alpha`` and ``beta`` are the phases the
-    construction was built with (0 for one that has none).
+    A construction is given by exactly one of ``measurements`` and
+    ``operators``; the other is ``None``, and a :class:`ValueError` naming
+    the field refuses both or neither.  ``measurements`` holds labeled
+    final-state bases when the construction provides them, and it is
+    verified from their Born tables.  The animal-acts model is known only
+    through its operator matrices (their +-1 spectra are degenerate, so
+    final states cannot be recovered), so verification compares
+    expectation values instead of Born distributions.  ``product_tol``
+    decides when a measurement or operator counts as entangled.  ``alpha``
+    and ``beta`` are the phases the construction was built with (0 for one
+    that has none).
 
     The model is immutable, so what does not depend on the data or the
     isomorphism (:attr:`predictions`) and its own reference data are
@@ -92,13 +97,17 @@ class NamedModel(Value):
         name: str,
         state: StateVector,
         measurements: Mapping[SettingPair, Measurement] | None,
-        operators: Mapping[SettingPair, CMatrix],
+        operators: Mapping[SettingPair, CMatrix] | None,
         fixture_name: str,
         tolerance: float,
         product_tol: float = EXACT_TOL,
         alpha: float = 0.0,
         beta: float = 0.0,
     ) -> None:
+        if measurements is not None and operators is not None:
+            raise ValueError("operators: must be None when measurements are given")
+        if measurements is None and operators is None:
+            raise ValueError("measurements: a construction needs measurements or operators")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", measurements)
@@ -331,7 +340,7 @@ def _canonical_measurement(pair: SettingPair) -> Measurement:
     """The canonical product basis read out at ``pair``.
 
     It does not depend on any phase, so it is built on first use, once per
-    pair, and every vessel model shares it and its operator."""
+    pair, and every vessel model shares it."""
     return Measurement(pair, CANONICAL_BASIS)
 
 
@@ -354,7 +363,7 @@ def _vessel_model(
         name=name,
         state=StateVector(state),
         measurements=measurements,
-        operators={p: m.operator for p, m in measurements.items()},
+        operators=None,
         fixture_name="vessels",
         tolerance=EXACT_MODEL_TOL,
         alpha=alpha,

@@ -303,6 +303,23 @@ def reference_bell_operator(operators) -> list[list[complex]]:
     return [[entry(i, j) for j in range(4)] for i in range(4)]
 
 
+def np_bell_value(state: CVector, measurements, operators) -> complex:
+    """<s|B|s> through numpy, B = E_A'B' + E_A'B + E_AB' - E_AB, where each
+    E is the spectral form sum_k x_k |f_k><f_k| of the measurement when
+    ``measurements`` is given, else the matrix in ``operators``."""
+    s = np.array(state.amplitudes)
+    bell = np.zeros((4, 4), dtype=complex)
+    for pair in PAIR_ORDER:
+        if measurements is not None:
+            m = measurements[pair]
+            finals = np.array([f.amplitudes for f in m.final_states])  # rows are final states
+            operator = finals.T @ np.diag(m.outcomes) @ finals.conj()
+        else:
+            operator = np.array(operators[pair].rows)
+        bell += REFERENCE_SIGNS[pair] * operator
+    return complex(s.conj() @ bell @ s)
+
+
 def reference_hermiticity_residual(rows) -> float:
     """Largest |m_ij - conj(m_ji)| over i <= j."""
     return max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(4) for j in range(i, 4))

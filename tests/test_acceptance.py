@@ -142,7 +142,7 @@ def test_criterion_4_alternative_vessels_model():
             entangled = [p for p in PAIR_ORDER if verdict.measurement_entangled[p]]
             assert entangled == [SettingPair.AB], (alpha, beta)
             want = alternative_ab_operator_reference(alpha, beta, (1, -1, -1, 1))
-            got = model.operators[SettingPair.AB]
+            got = model.measurements[SettingPair.AB].operator
             assert np_max_entry_difference(got, want) <= 1e-12, (alpha, beta)
 
     _check(4, "alternative vessels model: combination 4 from the product "

@@ -24,10 +24,12 @@ from bellbox.hilbert import (
     verify_model,
 )
 from bellbox.linalg import (
+    CANONICAL_BASIS,
     CMatrix,
     CVector,
     expectation,
     hermiticity_residual,
+    quadratic_form,
 )
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
@@ -53,6 +55,7 @@ from bellbox.tables import (
 
 from oracles import (
     alternative_ab_operator_reference,
+    np_bell_value,
     np_max_entry_difference,
     np_random_orthonormal_basis,
     np_second_singular_value,
@@ -60,6 +63,7 @@ from oracles import (
     product_operator,
     random_2x2_matrix,
     random_product_vector,
+    random_table,
     random_unit_cvector,
     vessels_offdiag_operator_reference,
 )
@@ -139,7 +143,7 @@ class TestOperatorFromMeasurement:
 
     def test_vessel_offdiagonal_operator_zero_phase_difference(self):
         model = vessels_model(alpha=0.4, beta=0.4)  # equal phases
-        op = model.operators[SettingPair.AB_PRIME]
+        op = model.measurements[SettingPair.AB_PRIME].operator
         want = CMatrix(
             [
                 [-1, 0, 0, 0],
@@ -153,13 +157,13 @@ class TestOperatorFromMeasurement:
     def test_vessel_offdiagonal_operators_general_phases(self):
         model = vessels_model(alpha=1.3, beta=-0.2)
         for pair in (SettingPair.AB_PRIME, SettingPair.A_PRIME_B):
-            got = model.operators[pair]
+            got = model.measurements[pair].operator
             want = vessels_offdiag_operator_reference(1.3, -0.2, (1, -1, -1, 1))
             assert np_max_entry_difference(got, want) <= 1e-12
 
     def test_alternative_ab_operator_matches_reference(self):
         model = vessels_alternative_model(alpha=0.9, beta=2.2)
-        got = model.operators[SettingPair.AB]
+        got = model.measurements[SettingPair.AB].operator
         want = alternative_ab_operator_reference(0.9, 2.2, (1, -1, -1, 1))
         assert np_max_entry_difference(got, want) <= 1e-12
 
@@ -186,12 +190,41 @@ class TestOperatorFromMeasurement:
             )
             assert abs(expectation(op, state.vector) - via_born) <= 1e-9
 
+    def test_spectral_form_is_hermitian_bit_for_bit(self):
+        # why a basis-backed model reports each Hermiticity residual as 0.0
+        # without building its operators
+        rng = random.Random(4242)
+        special = (1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)
+
+        def outcome():
+            if rng.random() < 0.5:
+                return rng.choice(special)
+            return math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-990, 990))
+
+        def phase():
+            return rng.choice((0.0, -0.0, rng.uniform(-7.0, 7.0)))
+
+        bases = [CANONICAL_BASIS]
+        for _ in range(150):
+            state = StateVector(random_unit_cvector(rng))
+            bases.append(basis_from_probabilities(state, random_table(rng).values).final_states)
+            for build in (vessels_model, vessels_alternative_model):
+                model = build(phase(), phase())
+                bases += [m.final_states for m in model.measurements.values()]
+        checked = 0
+        for basis in bases:
+            for outcomes in ((1.0, -1.0, -1.0, 1.0), tuple(outcome() for _ in range(4))):
+                m = Measurement(SettingPair.AB, basis, outcomes)
+                assert hermiticity_residual(operator_from_measurement(m)) == 0.0, outcomes
+                checked += 1
+        assert checked == 2 * len(bases) > 2000
+
 
 class TestBellOperator:
     def test_vessel_middle_block(self):
         alpha, beta = 0.7, -0.3
         model = vessels_model(alpha, beta)
-        bell = bell_operator(model.operators)
+        bell = bell_operator({p: m.operator for p, m in model.measurements.items()})
         phase = cmath.exp(1j * (alpha - beta))
         assert abs(bell[1][1] - 2) <= 1e-12
         assert abs(bell[2][2] - 2) <= 1e-12
@@ -208,7 +241,7 @@ class TestBellOperator:
 
     def test_alternative_model_combination_expectation(self):
         model = vessels_alternative_model(alpha=0.2, beta=1.9)
-        bell = bell_operator(model.operators)
+        bell = bell_operator({p: m.operator for p, m in model.measurements.items()})
         assert abs(expectation(bell, model.state.vector) - 4.0) <= 1e-12
 
     def test_argument_order(self):
@@ -363,7 +396,8 @@ class TestProductOperator:
             )
 
     def test_vessel_bell_operator_not_product(self):
-        bell = bell_operator(vessels_model(0.3, 0.8).operators)
+        measurements = vessels_model(0.3, 0.8).measurements
+        bell = bell_operator({p: m.operator for p, m in measurements.items()})
         assert not is_product_operator(bell)
 
     def test_quoted_survey_operators_not_product(self):
@@ -461,7 +495,17 @@ class TestVerifyModel:
         assert verdict.iso is SWAPPED_ISO
 
     def test_measurements_build_their_operators_once(self, count_calls):
-        calls = count_calls(hilbert, "operator_from_measurement")
+        # a synthesized model is verified from its Born tables alone: each
+        # verify_model call takes four, and no operator is built
+        calls = {
+            name: count_calls(hilbert, name)
+            for name in (
+                "operator_from_measurement",
+                "born_probabilities",
+                "hermiticity_residual",
+                "bell_operator",
+            )
+        }
         state = animal_acts_state()
         data = animal_acts_data().experiment
         measurements = {
@@ -470,7 +514,59 @@ class TestVerifyModel:
         }
         for iso in (CANONICAL_ISO, SWAPPED_ISO):
             assert verify_model(state, measurements, data, 1e-9, iso).passed
-        assert calls[0] == 4
+        counts = {name: c[0] for name, c in calls.items()}
+        assert counts == {
+            "operator_from_measurement": 0,
+            "born_probabilities": 8,
+            "hermiticity_residual": 0,
+            "bell_operator": 0,
+        }
+
+
+def _constructions(seed):
+    """(state, measurements, operators, data) of the animal-acts model and
+    of vessel and synthesized models at seeded phases and targets."""
+    rng = random.Random(seed)
+    model = animal_acts_model()
+    built = [(model.state, None, model.operators, animal_acts_data().experiment)]
+    vessels = vessels_data().experiment
+    for _ in range(15):
+        for build in (vessels_model, vessels_alternative_model):
+            model = build(rng.uniform(-4.0, 4.0), rng.choice((0.0, -0.0, rng.uniform(-4.0, 4.0))))
+            built.append((model.state, model.measurements, None, vessels))
+    for _ in range(15):
+        state = StateVector(random_unit_cvector(rng))
+        data = Experiment(tuple(random_table(rng, p) for p in PAIR_ORDER))
+        measurements = {
+            p: basis_from_probabilities(state, data.table(p).values, p) for p in PAIR_ORDER
+        }
+        built.append((state, measurements, None, data))
+    return built
+
+
+class TestBellValueFromBornTables:
+    """A basis-backed construction takes its Bell value from its Born
+    tables; it must agree with <s|B|s> of the Bell operator."""
+
+    def test_chsh_from_model_matches_the_bell_operator_and_numpy(self):
+        for state, measurements, operators, data in _constructions(2025):
+            predictions = hilbert.predict_model(state, measurements, operators)
+            verdict = hilbert.verify_predictions(predictions, data, 1e-9)
+            if operators is None:
+                operators = {p: m.operator for p, m in measurements.items()}
+            via_bell = quadratic_form(bell_operator(operators), state.vector).real
+            via_numpy = np_bell_value(state.vector, measurements, operators).real
+            assert abs(verdict.chsh_from_model - via_bell) <= 1e-12
+            assert abs(verdict.chsh_from_model - via_numpy) <= 1e-12
+
+    def test_basis_backed_models_have_no_imaginary_residual(self):
+        for state, measurements, _operators, data in _constructions(2026):
+            if measurements is None:
+                continue
+            for iso in (CANONICAL_ISO, SWAPPED_ISO):
+                verdict = verify_model(state, measurements, data, 1e-9, iso)
+                assert verdict.chsh_imag_residual == 0.0
+                assert verdict.hermiticity_residuals == dict.fromkeys(PAIR_ORDER, 0.0)
 
 
 def _normalizes(tol):

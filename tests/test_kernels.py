@@ -182,7 +182,8 @@ class TestOperators:
         matrices = _matrices(32)
         combos = [dict(zip(PAIR_ORDER, rng.sample(matrices, 4))) for _ in range(40)]
         for build in (vessels_model, vessels_alternative_model):
-            combos.append(build(rng.uniform(-3, 3), rng.uniform(-3, 3)).operators)
+            measurements = build(rng.uniform(-3, 3), rng.uniform(-3, 3)).measurements
+            combos.append({p: m.operator for p, m in measurements.items()})
         for operators in combos:
             want = reference_bell_operator({p: m.rows for p, m in operators.items()})
             assert _hex_rows(bell_operator(operators).rows) == _hex_rows(want)

@@ -89,7 +89,7 @@ class TestApply:
         # the combination operator acts as multiplication by 4 on the
         # model state (checked against plain scalar arithmetic)
         model = vessels_model(alpha=0.9, beta=-0.4)
-        bell = bell_operator(model.operators)
+        bell = bell_operator({p: m.operator for p, m in model.measurements.items()})
         state = model.state.vector
         image = apply(bell, state)
         for got, want in zip(image, state.scaled(4.0)):
@@ -153,7 +153,7 @@ class TestExpectation:
 
     def test_bell_operator_in_vessel_state(self):
         model = vessels_model(alpha=0.25, beta=1.5)
-        bell = bell_operator(model.operators)
+        bell = bell_operator({p: m.operator for p, m in model.measurements.items()})
         assert abs(expectation(bell, model.state.vector) - 4.0) < 1e-12
 
     def test_diagonal_superposition(self):

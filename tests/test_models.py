@@ -303,21 +303,20 @@ class TestVerifyOnce:
         }
 
     def test_vessel_model_under_both_isomorphisms(self, count_calls):
-        # the shared canonical AB measurement builds its operator only once
-        # per process; start without it so that this build counts all four
-        models._canonical_measurement.cache_clear()
+        # a basis-backed model is verified from its Born tables alone
         calls = self._counters(count_calls)
         model = vessels_model(0.3, 0.8)
         for iso in ISOS:
             model.verify(vessels_data().experiment, iso=iso)
         counts = {name: c[0] for name, c in calls.items()}
         assert counts == {
-            "operator_from_measurement": 4,
+            "operator_from_measurement": 0,
             "born_probabilities": 4,
-            "hermiticity_residual": 4,
-            "bell_operator": 1,
+            "hermiticity_residual": 0,
+            "bell_operator": 0,
             "is_product_operator": 0,
         }
+        assert model.operators is None
 
     def test_animal_acts_model_under_both_isomorphisms(self, count_calls):
         calls = self._counters(count_calls)
@@ -329,7 +328,7 @@ class TestVerifyOnce:
             "operator_from_measurement": 0,
             "born_probabilities": 0,
             "hermiticity_residual": 4,
-            "bell_operator": 1,
+            "bell_operator": 0,
             "is_product_operator": 8,
         }
 
@@ -339,8 +338,9 @@ class TestVerifyOnce:
         measurements = count_calls(models, "Measurement")
         operators = count_calls(hilbert, "operator_from_measurement")
         second = (vessels_model(-0.7, 2.1), vessels_alternative_model(0.6, -2.5))
-        # vessels builds three phase-dependent measurements, vessels-alt one
-        assert (measurements[0], operators[0]) == (4, 4)
+        # vessels builds three phase-dependent measurements, vessels-alt
+        # one, and neither builds an operator
+        assert (measurements[0], operators[0]) == (4, 0)
         canonical = {
             SettingPair.AB: [first[0], second[0]],
             **{pair: [first[1], second[1]] for pair in PAIR_ORDER[1:]},
@@ -350,8 +350,17 @@ class TestVerifyOnce:
             assert shared.final_states == CANONICAL_BASIS
             for model in built:
                 assert model.measurements[pair] is shared
-                assert model.operators[pair] is shared.operator
+                assert model.measurements[pair].operator is shared.operator
         assert models._canonical_measurement.cache_info().currsize == 4
+
+    def test_comparing_vessel_models_builds_no_operator(self, count_calls):
+        # the benchmark compares each op's output with a reference by ==
+        calls = count_calls(hilbert, "operator_from_measurement")
+        for build in (vessels_model, vessels_alternative_model):
+            first, second = build(0.3, 0.8), build(0.3, 0.8)
+            assert first == second and not first != second
+            assert first != build(0.3, -0.8)
+        assert calls[0] == 0
 
     def test_fixture_built_once_per_model(self, count_calls):
         calls = count_calls(models, "get_fixture")

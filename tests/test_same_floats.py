@@ -3,8 +3,9 @@
 From Python 3.12 on, the builtin ``sum`` of floats is compensated, so a
 library sum written with it would give other last bits there than on 3.10
 and 3.11.  bellbox adds left to right from 0.0 instead.  This module
-computes seeded ``normalize`` rescalings, CHSH values and
-``basis_from_probabilities`` final states and compares their ``float.hex``
+computes seeded ``normalize`` rescalings, CHSH values,
+``basis_from_probabilities`` final states and the ``chsh_from_model`` of
+synthesized and vessel models, and compares their ``float.hex``
 forms with ``float_fixture.json``, which was written on Python 3.11.  It
 uses the standard library only, so it runs wherever bellbox does.
 
@@ -22,9 +23,9 @@ import sys
 from pathlib import Path
 
 from bellbox.bell import chsh
-from bellbox.hilbert import StateVector
-from bellbox.models import basis_from_probabilities
-from bellbox.tables import PAIR_ORDER, Experiment, normalize
+from bellbox.hilbert import StateVector, verify_model
+from bellbox.models import basis_from_probabilities, vessels_alternative_model, vessels_model
+from bellbox.tables import EXACT_TOL, PAIR_ORDER, Experiment, normalize
 
 FIXTURE = Path(__file__).with_name("float_fixture.json")
 
@@ -66,7 +67,32 @@ def compute() -> dict[str, list]:
         targets = normalize([rng.random() for _ in range(4)], tol=math.inf).values
         basis = basis_from_probabilities(state, targets)
         final_states.append([_hex_complex(z) for f in basis.final_states for z in f])
-    return {"normalize": rescaled, "chsh": chsh_values, "basis_from_probabilities": final_states}
+
+    # one synthesized model, then vessels and vessels-alt at one pair of phases
+    rng = random.Random("same-floats/chsh_from_model")
+    bell_values = []
+    for _ in range(20):
+        state = _unit_state(rng)
+        data = Experiment(
+            [normalize([rng.random() for _ in range(4)], pair, tol=math.inf) for pair in PAIR_ORDER]
+        )
+        measurements = {
+            pair: basis_from_probabilities(state, data.table(pair).values, pair)
+            for pair in PAIR_ORDER
+        }
+        synthesized = verify_model(state, measurements, data, EXACT_TOL)
+        alpha, beta = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+        bell_values.append(
+            [synthesized.chsh_from_model.hex()]
+            + [build(alpha, beta).verify().chsh_from_model.hex()
+               for build in (vessels_model, vessels_alternative_model)]
+        )
+    return {
+        "normalize": rescaled,
+        "chsh": chsh_values,
+        "basis_from_probabilities": final_states,
+        "chsh_from_model": bell_values,
+    }
 
 
 def test_floats_match_the_fixture():

@@ -68,16 +68,19 @@ def _matrix(scale=1.0):
 
 
 class Case:
-    """How to build one type twice: ``base`` and ``other`` map every field
-    to a value (zero-argument callables are called, so each construction
-    gets fresh objects); ``other`` differs from ``base`` in every field and
-    may replace any one of them.  ``defaults`` are the values that omitted
-    trailing arguments take."""
+    """How to build one type twice: ``base`` maps every field to a value
+    (zero-argument callables are called, so each construction gets fresh
+    objects); ``other`` differs from ``base`` in every field it maps, each
+    of which may replace the base value alone.  It maps every field unless
+    the type ties two fields together.  ``defaults`` are the values that
+    omitted trailing arguments take.  ``name`` tells apart two cases of one
+    type."""
 
-    def __init__(self, cls, base, other, defaults=None, hashable=True):
+    def __init__(self, cls, base, other, defaults=None, hashable=True, name=None):
         self.cls, self.base, self.other = cls, base, other
         self.defaults = defaults or {}
         self.hashable = hashable
+        self.name = name or cls.__name__
 
     def fields(self, **override):
         values = {**self.base, **override}
@@ -87,7 +90,7 @@ class Case:
         return self.cls(**self.fields(**override))
 
     def __repr__(self):
-        return self.cls.__name__
+        return self.name
 
 
 CASES = [
@@ -144,13 +147,16 @@ CASES = [
         },
         defaults={"outcomes": COINCIDENCE_OUTCOMES, "labels": AB.outcome_labels},
     ),
+    # a construction has exactly one of measurements and operators: the
+    # basis-backed case changes only its measurements, the operator-only
+    # case only its operators
     Case(
         NamedModel,
         {
             "name": "m",
             "state": _state,
             "measurements": lambda: {p: _measurement(p) for p in PAIR_ORDER},
-            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
+            "operators": None,
             "fixture_name": "vessels",
             "tolerance": 1e-9,
             "product_tol": EXACT_TOL,
@@ -160,8 +166,9 @@ CASES = [
         {
             "name": "n",
             "state": lambda: _state(1),
-            "measurements": None,
-            "operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER},
+            "measurements": lambda: {
+                p: Measurement(p, (E1, E0, E2, E3)) for p in PAIR_ORDER
+            },
             "fixture_name": "animal-acts",
             "tolerance": 0.03,
             "product_tol": 0.05,
@@ -170,6 +177,24 @@ CASES = [
         },
         defaults={"product_tol": EXACT_TOL, "alpha": 0.0, "beta": 0.0},
         hashable=False,
+    ),
+    Case(
+        NamedModel,
+        {
+            "name": "m",
+            "state": _state,
+            "measurements": None,
+            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
+            "fixture_name": "animal-acts",
+            "tolerance": 0.03,
+            "product_tol": 0.05,
+            "alpha": 0.0,
+            "beta": 0.0,
+        },
+        {"operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER}},
+        defaults={"product_tol": EXACT_TOL, "alpha": 0.0, "beta": 0.0},
+        hashable=False,
+        name="NamedModel-operators",
     ),
     Case(
         MarginalComparison,
@@ -482,6 +507,14 @@ class TestValidationMessages:
             Measurement(AB, CANONICAL_BASIS, labels=("a", "b"))
         with _raises(ValueError, "labels must be 4 outcome labels, got ('a', 'b', 'c', 'd', 'e')"):
             Measurement(AB, CANONICAL_BASIS, labels=["a", "b", "c", "d", "e"])
+
+    def test_named_model_takes_measurements_or_operators(self):
+        measurements = {p: _measurement(p) for p in PAIR_ORDER}
+        operators = {p: _matrix() for p in PAIR_ORDER}
+        with _raises(ValueError, "operators: must be None when measurements are given"):
+            NamedModel("m", _state(), measurements, operators, "vessels", 1e-9)
+        with _raises(ValueError, "measurements: a construction needs measurements or operators"):
+            NamedModel("m", _state(), None, None, "vessels", 1e-9)
 
 
 def test_measurement_list_input_is_stored_as_tuples():
