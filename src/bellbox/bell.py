@@ -24,7 +24,6 @@ from collections import namedtuple
 from enum import Enum
 from typing import Mapping
 
-from ._value import Value
 from .tables import (
     CLASS_TOL,
     PAIR_ORDER,
@@ -35,25 +34,10 @@ from .tables import (
 )
 
 
-class Bounds(Value):
-    """The three CHSH reference bounds (dimensionless)."""
+Bounds = namedtuple("Bounds", "classical tsirelson algebraic")
+Bounds.__doc__ = """The three CHSH reference bounds (dimensionless)."""
 
-    _fields = ("classical", "tsirelson", "algebraic")
-
-    def __init__(
-        self,
-        classical: float = 2.0,
-        tsirelson: float = 2.0 * math.sqrt(2.0),
-        algebraic: float = 4.0,
-    ) -> None:
-        if not (classical < tsirelson < algebraic):
-            raise ValueError("bounds must satisfy classical < tsirelson < algebraic")
-        object.__setattr__(self, "classical", classical)
-        object.__setattr__(self, "tsirelson", tsirelson)
-        object.__setattr__(self, "algebraic", algebraic)
-
-
-BOUNDS = Bounds()
+BOUNDS = Bounds(2.0, 2.0 * math.sqrt(2.0), 4.0)
 
 #: Term order of the CHSH combination E(A',B') + E(A',B) + E(A,B') - E(A,B).
 CHSH_TERM_ORDER = (

@@ -198,11 +198,11 @@ def read_experiment(
 ) -> tuple[Experiment, dict[str, Any]]:
     """Parse an experiment file; returns the experiment and its metadata.
 
-    Checks, in order: JSON without repeated keys; the version; two distinct
-    string labels per side (the check :class:`Experiment` makes, not made
-    again); the settings; per table, each outcome label with a decimal
-    string, no other label, and the row by :func:`tables.normalize` within
-    ``normalize_tol``; the metadata object.
+    Checks, in order: JSON without repeated keys; the version, the integer
+    1; two distinct string labels per side (the check :class:`Experiment`
+    makes, not made again); the settings; per table, each outcome label
+    with a decimal string, no other label, and the row by
+    :func:`tables.normalize` within ``normalize_tol``; the metadata object.
     """
     try:
         with open(path, "rb", buffering=0) as file:
@@ -222,7 +222,7 @@ def read_experiment(
         where, key = _find_repeated(doc, "document")
         raise _fail(path, where, f"duplicate key {key!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1.0 == 1
         raise _fail(path, "version", f"expected {FORMAT_VERSION}, got {version!r}")
 
     sides = doc.get("sides", _DEFAULT_SIDES)

@@ -17,9 +17,10 @@ A transpose has the same determinant and the same 2x2 minors, bit for bit,
 so every state, measurement and operator flag is the same under both.
 
 Validation happens once, where a value is built: amplitudes and entries in
-``linalg``, the unit norm in :class:`StateVector`, and the four final
-states, outcomes and labels and their orthonormality in
-:class:`Measurement`.  The kernels trust their arguments.  Each evaluates
+``linalg``, the unit norm in :class:`StateVector`, the setting pair, the
+four final states and outcomes and their orthonormality in
+:class:`Measurement`, and one measurement or operator per setting pair in
+:func:`predict_model`.  The kernels trust their arguments.  Each evaluates
 its sums in a fixed order with explicit loops, never with ``sum``, and
 gives the same floats, bit for bit, as the straightforward forms kept in
 ``tests/oracles.py``.  Measurements are immutable and may be shared:
@@ -96,6 +97,8 @@ class StateVector(Value):
     _fields = ("vector",)
 
     def __init__(self, vector: CVector) -> None:
+        if not isinstance(vector, CVector):
+            raise ValueError(f"vector must be a CVector, got {vector!r}")
         n = vector.norm()
         if abs(n - 1.0) > EXACT_TOL:
             raise ValueError(f"state norm {n!r} is not 1 within {EXACT_TOL}")
@@ -117,17 +120,18 @@ def _vec(v: VectorLike) -> CVector:
 
 
 class Measurement(Value):
-    """Four labeled orthonormal final states with their outcome values.
+    """Four orthonormal final states with their outcome values.
 
     Final states are kept in table cell order (11, 12, 21, 22) for the
-    measurement's setting pair; the operator representation is recovered
-    from the spectral form when needed, never the other way round (the
-    operators can have degenerate spectra).  Empty ``labels`` take the
-    pair's outcome labels.
+    measurement's setting pair, whose outcome labels name them; the
+    operator representation is recovered from the spectral form when
+    needed, never the other way round (the operators can have degenerate
+    spectra).
 
-    Everything is validated here, once: exactly four :class:`CVector`
-    final states, orthonormal within :data:`tables.EXACT_TOL`; four
-    outcomes that ``float`` turns into finite reals; four distinct labels.
+    Everything is validated here, once: a :class:`tables.SettingPair`;
+    exactly four :class:`CVector` final states, orthonormal within
+    :data:`tables.EXACT_TOL`; four outcomes, none of them text, that
+    ``float`` turns into finite reals.
     Each field is stored as a tuple (outcomes as ``float``), so a
     measurement built from lists equals and hashes like one built from
     tuples, and each rejection is a :class:`ValueError` that names its
@@ -136,29 +140,26 @@ class Measurement(Value):
     models (``models`` builds each canonical-basis measurement once).
     """
 
-    _fields = ("pair", "final_states", "outcomes", "labels")
+    _fields = ("pair", "final_states", "outcomes")
 
     def __init__(
         self,
         pair: SettingPair,
         final_states: Sequence[CVector],
         outcomes: Sequence[float] = COINCIDENCE_OUTCOMES,
-        labels: Sequence[str] = (),
     ) -> None:
+        if not isinstance(pair, SettingPair):
+            raise ValueError(f"pair must be a SettingPair, got {pair!r}")
         final_states = tuple(final_states)
         if len(final_states) != 4 or not all(isinstance(f, CVector) for f in final_states):
             raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
         try:
-            values = tuple(map(float, outcomes))
+            # float parses text, so text is dropped and the count fails
+            values = tuple([float(x) for x in outcomes if not isinstance(x, (str, bytes))])
         except (TypeError, ValueError):
             values = ()
         if len(values) != 4 or not all(map(math.isfinite, values)):
             raise ValueError(f"outcomes must be 4 finite real numbers, got {outcomes!r}")
-        labels = tuple(labels) if labels else pair.outcome_labels
-        if len(labels) != 4:
-            raise ValueError(f"labels must be 4 outcome labels, got {labels!r}")
-        if len(set(labels)) != 4:
-            raise ValueError(f"outcome labels must be unique: {labels}")
         amplitudes = [f.amplitudes for f in final_states]
         conjugates = tuple([tuple([z.conjugate() for z in a]) for a in amplitudes])
         for i in range(4):
@@ -169,6 +170,7 @@ class Measurement(Value):
                 overlap = abs(0j + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3)
                 want = 1.0 if i == j else 0.0
                 if abs(overlap - want) > EXACT_TOL:
+                    labels = pair.outcome_labels
                     raise ValueError(
                         f"final states {labels[i]},{labels[j]} are not "
                         f"orthonormal: |<i|j>| = {overlap!r}"
@@ -176,7 +178,6 @@ class Measurement(Value):
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "final_states", final_states)
         object.__setattr__(self, "outcomes", values)
-        object.__setattr__(self, "labels", labels)
         # the conjugated final-state amplitudes, for the Born rule and the
         # spectral form
         object.__setattr__(self, "_conjugates", conjugates)
@@ -238,34 +239,20 @@ def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
     return CMatrix(rows)
 
 
-Block = tuple[tuple[complex, complex], tuple[complex, complex]]
-
-
-def reshape(v: VectorLike, iso: Isomorphism = CANONICAL_ISO) -> Block:
-    """Arrange the four amplitudes into the 2x2 array chosen by ``iso``."""
-    vec = _vec(v)
-    cells = [[0j, 0j], [0j, 0j]]
-    for k, (row, col) in enumerate(iso.cells):
-        cells[row][col] = vec[k]
-    return ((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1]))
-
-
-def _block_det(block: Block) -> complex:
-    return block[0][0] * block[1][1] - block[0][1] * block[1][0]
-
-
 def schmidt_coefficients(
     v: VectorLike, iso: Isomorphism = CANONICAL_ISO
 ) -> tuple[float, float]:
     """Singular values of the reshaped vector, in nonincreasing order.
 
     Closed form for a 2x2 array with squared Frobenius norm t and
-    determinant modulus d: s+- = sqrt((t +- sqrt(t^2 - 4 d^2)) / 2).
+    determinant modulus d: s+- = sqrt((t +- sqrt(t^2 - 4 d^2)) / 2).  t adds
+    the cells in order 00, 01, 10, 11.
     """
-    block = reshape(v, iso)
-    (z00, z01), (z10, z11) = block
+    a = _vec(v).amplitudes
+    k00, k11, k01, k10 = iso._det_indices
+    z00, z01, z10, z11 = a[k00], a[k01], a[k10], a[k11]
     t = 0.0 + abs(z00) ** 2 + abs(z01) ** 2 + abs(z10) ** 2 + abs(z11) ** 2
-    d = abs(_block_det(block))
+    d = abs(z00 * z11 - z01 * z10)
     disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
     s_large = math.sqrt(max((t + disc) / 2.0, 0.0))
     s_small = math.sqrt(max((t - disc) / 2.0, 0.0))
@@ -370,18 +357,25 @@ def predict_model(
     of ``measurements`` and ``operators``: from the four Born tables (each
     pair's expectation is 0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its
     outcomes x, each Hermiticity residual 0.0), or from the quadratic
-    forms <s|E|s> and the measured Hermiticity residuals."""
+    forms <s|E|s> and the measured Hermiticity residuals.  A missing or
+    wrong entry (not a Measurement of its key's pair, not a CMatrix) is a
+    :class:`ValueError` that names it, such as ``measurements.AB``."""
     if measurements is not None:
         predicted = {}
         expectations = {}
         for pair in PAIR_ORDER:
-            measurement = measurements[pair]
+            measurement = measurements.get(pair)
+            if not isinstance(measurement, Measurement) or measurement.pair is not pair:
+                raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
             predicted[pair] = probabilities = born_probabilities(state, measurement).values
             p0, p1, p2, p3 = probabilities
             x0, x1, x2, x3 = measurement.outcomes
             expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
         hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
     else:
+        for pair in PAIR_ORDER:
+            if not isinstance(operators.get(pair), CMatrix):
+                raise ValueError(f"operators.{pair.label}: not a CMatrix")
         expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
         predicted = {p: z.real for p, z in expectations.items()}
         hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
@@ -447,11 +441,9 @@ def verify_model(
     data: Experiment,
     tol: float,
     iso: Isomorphism = CANONICAL_ISO,
-    product_tol: float = EXACT_TOL,
 ) -> ModelVerdict:
     """Check a construction given by its state and measurements against
     the data tables: :func:`predict_model`, then :func:`verify_predictions`.
-    No operator matrix is built."""
-    return verify_predictions(
-        predict_model(state, measurements, None), data, tol, iso, product_tol
-    )
+    Entangled final states are decided at :data:`tables.EXACT_TOL`.  No
+    operator matrix is built."""
+    return verify_predictions(predict_model(state, measurements, None), data, tol, iso)

@@ -120,12 +120,3 @@ def quadratic_form(m: CMatrix, v: CVector) -> complex:
     for how far ``m`` is from self-adjoint on ``v``."""
     return inner(v, apply(m, v))
 
-
-def expectation(m: CMatrix, v: CVector) -> float:
-    """Real part of <v|m|v>.
-
-    Meaningful as an expectation value when ``m`` is Hermitian and ``v``
-    is a unit vector; use :func:`quadratic_form` to inspect the imaginary
-    residual.
-    """
-    return quadratic_form(m, v).real

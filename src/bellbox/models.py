@@ -57,10 +57,6 @@ ANIMAL_ACTS_MODEL_TOL = 0.03
 EXACT_MODEL_TOL = EXACT_TOL
 
 
-class InvalidTargetsError(ValueError):
-    """Raised when target probabilities for a basis synthesis are invalid."""
-
-
 Fixture = namedtuple("Fixture", "name experiment expected_chsh chsh_tol expected_class")
 Fixture.__doc__ = """A named reference experiment with its expected analysis results."""
 
@@ -258,23 +254,18 @@ def vessels_data() -> Fixture:
     )
 
 
-def vessels_separated_data(flipped: str = "A'B") -> Fixture:
+def vessels_separated_data() -> Fixture:
     """Vessels with the tube removed: the anti-correlation for AB stays,
-    and exactly one of the perfect correlations flips to anti-correlation.
-
-    Either AB' or A'B can be the one that flips (both give CHSH = 2);
-    ``flipped`` selects which, A'B by default.
-    """
-    if flipped not in ("A'B", "AB'"):
-        raise ValueError(f"flipped must be \"A'B\" or \"AB'\", got {flipped!r}")
-    anti = (0.0, 0.5, 0.5, 0.0)
-    corr = (1.0, 0.0, 0.0, 0.0)
-    tables = {}
-    for pair in SettingPair:
-        if pair is SettingPair.AB or pair.label == flipped:
-            tables[pair] = JointTable(*anti, pair=pair)
-        else:
-            tables[pair] = JointTable(*corr, pair=pair)
+    and the perfect correlation of A'B flips to anti-correlation
+    (CHSH = 2)."""
+    tables = {
+        SettingPair.AB: JointTable(0.0, 0.5, 0.5, 0.0, SettingPair.AB),
+        SettingPair.AB_PRIME: JointTable(1.0, 0.0, 0.0, 0.0, SettingPair.AB_PRIME),
+        SettingPair.A_PRIME_B: JointTable(0.0, 0.5, 0.5, 0.0, SettingPair.A_PRIME_B),
+        SettingPair.A_PRIME_B_PRIME: JointTable(
+            1.0, 0.0, 0.0, 0.0, SettingPair.A_PRIME_B_PRIME
+        ),
+    }
     return Fixture(
         name="vessels-separated",
         experiment=Experiment.from_tables(tables),
@@ -284,23 +275,20 @@ def vessels_separated_data(flipped: str = "A'B") -> Fixture:
     )
 
 
-def vessels_model(
-    alpha: float = 0.0, beta: float = 0.0, transparent: bool = True
-) -> NamedModel:
+def vessels_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
     """Construction with the entanglement in the state.
 
-    The state is (0, sqrt(.5) e^{i alpha}, sqrt(.5) e^{i beta}, 0) for
-    transparent water (its sign-flipped partner for non-transparent); AB
-    is read out in the canonical product basis, while AB', A'B and A'B'
-    each contain the state itself among their final states and are
-    therefore entangled measurements.  All probabilities, and the Bell
-    operator expectation of 4, are independent of the phases.
+    The state is (0, sqrt(.5) e^{i alpha}, sqrt(.5) e^{i beta}, 0); AB is
+    read out in the canonical product basis, while AB', A'B and A'B' each
+    contain the state itself and its sign-flipped partner
+    (0, sqrt(.5) e^{i alpha}, -sqrt(.5) e^{i beta}, 0) among their final
+    states and are therefore entangled measurements.  All probabilities,
+    and the Bell operator expectation of 4, are independent of the phases.
     """
     a = math.sqrt(0.5) * cmath.exp(1j * alpha)
     b = math.sqrt(0.5) * cmath.exp(1j * beta)
-    plus = CVector([0, a, b, 0])
-    minus = CVector([0, a, -b, 0])
-    state, partner = (plus, minus) if transparent else (minus, plus)
+    state = CVector([0, a, b, 0])
+    partner = CVector([0, a, -b, 0])
     e0, e3 = CANONICAL_BASIS[0], CANONICAL_BASIS[3]
     bases = {
         SettingPair.AB: CANONICAL_BASIS,
@@ -394,15 +382,15 @@ def basis_from_probabilities(
     """
     vals = tuple(float(x) for x in targets)
     if len(vals) != 4:
-        raise InvalidTargetsError(f"expected 4 target probabilities, got {len(vals)}")
+        raise ValueError(f"expected 4 target probabilities, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
-        raise InvalidTargetsError(f"target probabilities must be finite: {vals}")
+        raise ValueError(f"target probabilities must be finite: {vals}")
     if any(v < -ENTRY_EPS for v in vals):
-        raise InvalidTargetsError(f"target probabilities must be nonnegative: {vals}")
+        raise ValueError(f"target probabilities must be nonnegative: {vals}")
     v0, v1, v2, v3 = vals
     total = 0.0 + v0 + v1 + v2 + v3
     if abs(total - 1.0) > EXACT_TOL:
-        raise InvalidTargetsError(f"target probabilities sum to {total!r}, not 1")
+        raise ValueError(f"target probabilities sum to {total!r}, not 1")
 
     s = state.vector
     t = CVector([math.sqrt(max(v, 0.0)) for v in vals])

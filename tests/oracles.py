@@ -266,12 +266,32 @@ def reference_born_probabilities(state, final_states) -> tuple[float, ...]:
     return tuple(min(max(abs(reference_inner(f, state)) ** 2, 0.0), 1.0) for f in final_states)
 
 
-def reference_block_det(amplitudes, cells) -> complex:
-    """Determinant of the 2x2 array that puts amplitude k in ``cells[k]``."""
+def reference_reshape(
+    amplitudes, cells
+) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The 2x2 array that puts amplitude k in ``cells[k]``."""
     block = [[0j, 0j], [0j, 0j]]
     for k, (row, col) in enumerate(cells):
         block[row][col] = amplitudes[k]
-    return block[0][0] * block[1][1] - block[0][1] * block[1][0]
+    return ((block[0][0], block[0][1]), (block[1][0], block[1][1]))
+
+
+def reference_block_det(amplitudes, cells) -> complex:
+    """Determinant of the 2x2 array that puts amplitude k in ``cells[k]``."""
+    (z00, z01), (z10, z11) = reference_reshape(amplitudes, cells)
+    return z00 * z11 - z01 * z10
+
+
+def reference_schmidt_coefficients(amplitudes, cells) -> tuple[float, float]:
+    """Singular values of :func:`reference_reshape`'s array by the closed
+    form s+- = sqrt((t +- sqrt(t^2 - 4 d^2)) / 2), with t the squared
+    Frobenius norm added over cells 00, 01, 10, 11 and d the determinant
+    modulus, evaluated as written."""
+    (z00, z01), (z10, z11) = reference_reshape(amplitudes, cells)
+    t = 0.0 + abs(z00) ** 2 + abs(z01) ** 2 + abs(z10) ** 2 + abs(z11) ** 2
+    d = abs(z00 * z11 - z01 * z10)
+    disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
+    return (math.sqrt(max((t + disc) / 2.0, 0.0)), math.sqrt(max((t - disc) / 2.0, 0.0)))
 
 
 def reference_operator_from_measurement(outcomes, final_states) -> list[list[complex]]:
@@ -542,7 +562,7 @@ def reference_read_experiment(path, normalize_tol: float = DEFAULT_NORM_TOL):
         where, key = _reference_find_repeated(doc, "document")
         raise fail(where, f"duplicate key {key!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
     sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
     if not isinstance(sides, dict) or set(sides) != {"first", "second"}:
@@ -617,7 +637,7 @@ def reference_text_mode_read_experiment(path, normalize_tol: float = DEFAULT_NOR
         where, key = _reference_find_repeated(doc, "document")
         raise fail(where, f"duplicate key {key!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
     sides = doc.get("sides", {"first": ["A", "A'"], "second": ["B", "B'"]})
     if not isinstance(sides, dict) or set(sides) != {"first", "second"}:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from bellbox.bell import (
     AmbiguousClassError,
     BOUNDS,
-    Bounds,
     ZooClass,
     chsh,
     classify,
@@ -91,8 +90,9 @@ class TestBounds:
         assert BOUNDS.algebraic == 4.0
 
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            Bounds(classical=3.0, tsirelson=2.5, algebraic=4.0)
+        # BOUNDS is the one set of bounds, a plain record
+        assert BOUNDS.classical < BOUNDS.tsirelson < BOUNDS.algebraic
+        assert BOUNDS._fields == ("classical", "tsirelson", "algebraic")
 
 
 class TestChsh:

@@ -19,7 +19,6 @@ from bellbox.hilbert import (
     is_product_vector,
     operator_from_measurement,
     realign,
-    reshape,
     schmidt_coefficients,
     verify_model,
 )
@@ -27,7 +26,6 @@ from bellbox.linalg import (
     CANONICAL_BASIS,
     CMatrix,
     CVector,
-    expectation,
     hermiticity_residual,
     quadratic_form,
 )
@@ -65,6 +63,8 @@ from oracles import (
     random_product_vector,
     random_table,
     random_unit_cvector,
+    reference_reshape,
+    reference_schmidt_coefficients,
     vessels_offdiag_operator_reference,
 )
 
@@ -90,8 +90,10 @@ class TestStateVector:
 
 class TestMeasurement:
     def test_labels_default_to_pair(self):
-        m = Measurement(SettingPair.AB_PRIME, tuple(CVector([1 if i == k else 0 for i in range(4)]) for k in range(4)))
-        assert m.labels == ("A1B'1", "A1B'2", "A2B'1", "A2B'2")
+        # the final states are named by the pair's outcome labels
+        basis = (CANONICAL_BASIS[0], CANONICAL_BASIS[0], CANONICAL_BASIS[2], CANONICAL_BASIS[3])
+        with pytest.raises(ValueError, match=r"^final states A1B'1,A1B'2 are not orthonormal"):
+            Measurement(SettingPair.AB_PRIME, basis)
 
     def test_non_orthogonal_rejected(self):
         e0 = CVector([1, 0, 0, 0])
@@ -102,9 +104,9 @@ class TestMeasurement:
             Measurement(SettingPair.AB, (e0, mixed, e2, e3))
 
     def test_duplicate_labels_rejected(self):
-        basis = tuple(CVector([1 if i == k else 0 for i in range(4)]) for k in range(4))
-        with pytest.raises(ValueError):
-            Measurement(SettingPair.AB, basis, labels=("x", "x", "y", "z"))
+        # labels are the pair's, so a measurement takes none of its own
+        with pytest.raises(TypeError):
+            Measurement(SettingPair.AB, CANONICAL_BASIS, labels=("x", "x", "y", "z"))
 
 
 class TestBornProbabilities:
@@ -188,7 +190,7 @@ class TestOperatorFromMeasurement:
             via_born = sum(
                 o * p for o, p in zip(outcomes, born_probabilities(state, m).values)
             )
-            assert abs(expectation(op, state.vector) - via_born) <= 1e-9
+            assert abs(quadratic_form(op, state.vector).real - via_born) <= 1e-9
 
     def test_spectral_form_is_hermitian_bit_for_bit(self):
         # why a basis-backed model reports each Hermiticity residual as 0.0
@@ -242,7 +244,7 @@ class TestBellOperator:
     def test_alternative_model_combination_expectation(self):
         model = vessels_alternative_model(alpha=0.2, beta=1.9)
         bell = bell_operator({p: m.operator for p, m in model.measurements.items()})
-        assert abs(expectation(bell, model.state.vector) - 4.0) <= 1e-12
+        assert abs(quadratic_form(bell, model.state.vector).real - 4.0) <= 1e-12
 
     def test_argument_order(self):
         # combination must be A'B' + A'B + AB' - AB
@@ -279,27 +281,6 @@ class TestBellOperator:
                     assert got[i][j] == want[i, j], (i, j)
 
 
-class TestReshape:
-    def test_canonical_layout(self):
-        block = reshape(CVector([1, 2, 3, 4]))
-        assert block == ((1 + 0j, 2 + 0j), (3 + 0j, 4 + 0j))
-
-    def test_vessel_state_is_offdiagonal(self):
-        block = reshape(vessel_state(0.5, 1.5))
-        assert block[0][0] == 0 and block[1][1] == 0
-        assert abs(block[0][1]) > 0.1 and abs(block[1][0]) > 0.1
-
-    def test_single_amplitude_lands_in_one_cell(self):
-        for iso in (CANONICAL_ISO, SWAPPED_ISO):
-            block = reshape(CVector([1, 0, 0, 0]), iso)
-            nonzero = [z for row in block for z in row if z != 0]
-            assert nonzero == [1 + 0j]
-
-    def test_swapped_layout_transposes_middle(self):
-        block = reshape(CVector([1, 2, 3, 4]), SWAPPED_ISO)
-        assert block == ((1 + 0j, 3 + 0j), (2 + 0j, 4 + 0j))
-
-
 class TestSchmidt:
     def test_product_vector(self):
         assert schmidt_coefficients(CVector([1, 0, 0, 0])) == (1.0, 0.0)
@@ -318,10 +299,26 @@ class TestSchmidt:
             v = random_unit_cvector(rng)
             for iso in (CANONICAL_ISO, SWAPPED_ISO):
                 ours = schmidt_coefficients(v, iso)
-                ref = np_singular_values_2x2(reshape(v, iso))
+                ref = np_singular_values_2x2(reference_reshape(v.amplitudes, iso.cells))
                 assert abs(ours[0] - ref[0]) <= 1e-9
                 assert abs(ours[1] - ref[1]) <= 1e-9
                 assert abs(ours[0] ** 2 + ours[1] ** 2 - 1.0) <= 1e-9
+
+    def test_same_floats_as_the_reshaped_block_formula(self):
+        # the closed form on the amplitudes picked by the determinant
+        # indices gives the floats of the form on an explicit 2x2 block
+        rng = random.Random(2375)
+        vectors = [vessel_state(0.3, 1.1), animal_acts_state().vector, CVector([1, 0, 0, 0])]
+        for _ in range(2000):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            vectors.append(random_unit_cvector(rng).scaled(scale))
+            cells = rng.choice((CANONICAL_ISO, SWAPPED_ISO)).cells
+            vectors.append(random_product_vector(rng, cells).scaled(scale))
+        for v in vectors:
+            for iso in (CANONICAL_ISO, SWAPPED_ISO):
+                ours = schmidt_coefficients(v, iso)
+                want = reference_schmidt_coefficients(v.amplitudes, iso.cells)
+                assert [x.hex() for x in ours] == [x.hex() for x in want], (v, iso.name)
 
 
 class TestProductVector:
@@ -334,8 +331,8 @@ class TestProductVector:
     def test_survey_state_not_product(self):
         state = animal_acts_state()
         assert not is_product_vector(state, CANONICAL_ISO, tol=1e-3)
-        block = reshape(state)
-        det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
+        (a, b), (c, d) = reference_reshape(state.vector.amplitudes, CANONICAL_ISO.cells)
+        det = a * d - b * c
         assert abs(abs(det) - 0.465) <= 0.01
 
     def test_random_product_vectors(self):

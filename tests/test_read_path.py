@@ -398,6 +398,17 @@ def test_mutated_documents_fail_as_the_reference_does(corpus_dir, name):
     assert deliberate > 0
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1"], ids=repr)
+def test_version_is_the_integer_1(corpus_dir, version):
+    # true == 1 and 1.0 == 1 in Python, but neither is the format's version
+    doc = dict(DOCUMENTS["quantum-0"], version=version)
+    path = _write(corpus_dir, f"version-{type(version).__name__}-{version}", doc)
+    ours = _outcome(read_experiment, path)
+    assert ours == ("raised", ExperimentFileError, f"{path}: version: expected 1, got {version!r}")
+    assert _outcome(reference_read_experiment, path) == ours
+    assert _outcome(reference_text_mode_read_experiment, path) == ours
+
+
 # ---------------------------------------------------------------------------
 # decoding: the same text as a text-mode read
 # ---------------------------------------------------------------------------
@@ -490,7 +501,7 @@ def rows(draw, pair: SettingPair):
 @st.composite
 def documents(draw):
     doc = {
-        "version": draw(st.sampled_from([1, 1, 1, 2, "1", None])),
+        "version": draw(st.sampled_from([1, 1, 1, 2, "1", None, True, 1.0])),
         "sides": draw(
             st.one_of(
                 st.sampled_from([{"first": list(f), "second": list(s)} for f, s in SIDE_LABELS]),

@@ -24,6 +24,7 @@ from bellbox.hilbert import (
     ModelPredictions,
     ModelVerdict,
     StateVector,
+    verify_model,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
 from bellbox.models import Fixture, NamedModel
@@ -123,7 +124,6 @@ CASES = [
         Bounds,
         {"classical": 2.0, "tsirelson": 2.0 * math.sqrt(2.0), "algebraic": 4.0},
         {"classical": 1.5, "tsirelson": 3.0, "algebraic": 4.5},
-        defaults={"classical": 2.0, "tsirelson": 2.0 * math.sqrt(2.0), "algebraic": 4.0},
     ),
     Case(
         Isomorphism,
@@ -137,15 +137,13 @@ CASES = [
             "pair": AB,
             "final_states": lambda: tuple(CVector(v) for v in CANONICAL_BASIS),
             "outcomes": COINCIDENCE_OUTCOMES,
-            "labels": AB.outcome_labels,
         },
         {
             "pair": AB_PRIME,
             "final_states": (E1, E0, E2, E3),
             "outcomes": (1.0, 1.0, -1.0, -1.0),
-            "labels": ("w", "x", "y", "z"),
         },
-        defaults={"outcomes": COINCIDENCE_OUTCOMES, "labels": AB.outcome_labels},
+        defaults={"outcomes": COINCIDENCE_OUTCOMES},
     ),
     # a construction has exactly one of measurements and operators: the
     # basis-backed case changes only its measurements, the operator-only
@@ -412,8 +410,8 @@ def test_cached_values_take_no_part_in_equality():
 
 
 def test_measurement_labels_default_to_the_pair_labels():
-    assert Measurement(AB_PRIME, CANONICAL_BASIS).labels == AB_PRIME.outcome_labels
-    assert Measurement(AB_PRIME, CANONICAL_BASIS, labels=()).labels == AB_PRIME.outcome_labels
+    with _raises(ValueError, "final states A'2B2,A'2B2 are not orthonormal: |<i|j>| = 4.0"):
+        Measurement(SettingPair.A_PRIME_B, (E0, E1, E2, E3.scaled(2)))
 
 
 @pytest.mark.parametrize("cls", [CVector, CMatrix, JointTable])
@@ -446,12 +444,6 @@ class TestValidationMessages:
             tables = _tables()
             Experiment((tables[1], tables[0], tables[2], tables[3]))
 
-    def test_bounds_ordering(self):
-        with _raises(ValueError, "bounds must satisfy classical < tsirelson < algebraic"):
-            Bounds(2.0, 1.0, 4.0)
-        with _raises(ValueError, "bounds must satisfy classical < tsirelson < algebraic"):
-            Bounds(algebraic=math.nan)
-
     def test_isomorphism_cells(self):
         with _raises(
             ValueError, "cells must be a bijection onto {0,1}^2: ((0, 0), (0, 0), (1, 0), (1, 1))"
@@ -462,15 +454,21 @@ class TestValidationMessages:
         with _raises(ValueError, "state norm 1.4142135623730951 is not 1 within 1e-09"):
             StateVector(CVector([1, 1, 0, 0]))
 
-    def test_measurement_labels(self):
-        with _raises(ValueError, "outcome labels must be unique: ('a', 'a', 'b', 'c')"):
-            Measurement(AB, CANONICAL_BASIS, labels=("a", "a", "b", "c"))
+    @pytest.mark.parametrize("vector", [[1, 0, 0, 0], (1, 0, 0, 0), None, _state()])
+    def test_state_vector_type(self, vector):
+        with _raises(ValueError, f"vector must be a CVector, got {vector!r}"):
+            StateVector(vector)
+
+    @pytest.mark.parametrize("pair", ["AB", None, 0])
+    def test_measurement_pair(self, pair):
+        with _raises(ValueError, f"pair must be a SettingPair, got {pair!r}"):
+            Measurement(pair, CANONICAL_BASIS)
 
     def test_measurement_orthonormality(self):
         with _raises(ValueError, "final states A1B1,A1B2 are not orthonormal: |<i|j>| = 1.0"):
             Measurement(AB, (E0, E0, E2, E3))
-        with _raises(ValueError, "final states w,w are not orthonormal: |<i|j>| = 4.0"):
-            Measurement(AB, (E0.scaled(2), E1, E2, E3), labels=("w", "x", "y", "z"))
+        with _raises(ValueError, "final states A1B'1,A1B'1 are not orthonormal: |<i|j>| = 4.0"):
+            Measurement(AB_PRIME, (E0.scaled(2), E1, E2, E3))
 
     def test_cvector_shape_and_finiteness(self):
         with _raises(ValueError, "expected 4 finite amplitudes, got ((1+0j), 0j, 0j)"):
@@ -495,18 +493,13 @@ class TestValidationMessages:
         "outcomes",
         [(1.0, -1.0, -1.0), (1.0, -1.0, -1.0, 1.0, 1.0), (1.0, -1.0, -1.0, math.inf),
          (math.nan, -1.0, -1.0, 1.0), (1.0, "a", -1.0, 1.0), (1.0, -1.0, 1j, 1.0),
-         (1.0, -1.0, None, 1.0), ()],
-        ids=["three", "five", "inf", "nan", "string", "complex", "none", "empty"],
+         (1.0, -1.0, None, 1.0), (), "1111", ("1", "-1", "-1", "1"), (1.0, -1.0, b"-1", 1.0)],
+        ids=["three", "five", "inf", "nan", "string", "complex", "none", "empty", "text",
+             "numeric-strings", "bytes"],
     )
     def test_measurement_outcomes(self, outcomes):
         with _raises(ValueError, f"outcomes must be 4 finite real numbers, got {outcomes!r}"):
             Measurement(AB, CANONICAL_BASIS, outcomes)
-
-    def test_measurement_label_count(self):
-        with _raises(ValueError, "labels must be 4 outcome labels, got ('a', 'b')"):
-            Measurement(AB, CANONICAL_BASIS, labels=("a", "b"))
-        with _raises(ValueError, "labels must be 4 outcome labels, got ('a', 'b', 'c', 'd', 'e')"):
-            Measurement(AB, CANONICAL_BASIS, labels=["a", "b", "c", "d", "e"])
 
     def test_named_model_takes_measurements_or_operators(self):
         measurements = {p: _measurement(p) for p in PAIR_ORDER}
@@ -516,13 +509,31 @@ class TestValidationMessages:
         with _raises(ValueError, "measurements: a construction needs measurements or operators"):
             NamedModel("m", _state(), None, None, "vessels", 1e-9)
 
+    def test_each_pair_has_its_own_measurement_or_operator(self):
+        data = _experiment()
+        missing = {p: _measurement(p) for p in PAIR_ORDER if p is not AB}
+        misfiled = {p: _measurement(AB_PRIME if p is AB else p) for p in PAIR_ORDER}
+        for measurements in (missing, misfiled, {**misfiled, AB: _matrix()}):
+            with _raises(ValueError, "measurements.AB: no Measurement of AB"):
+                verify_model(_state(), measurements, data, 1e-9)
+            model = NamedModel("m", _state(), measurements, None, "vessels", 1e-9)
+            with _raises(ValueError, "measurements.AB: no Measurement of AB"):
+                model.verify(data)
+        operators = {p: _matrix() for p in PAIR_ORDER if p is not SettingPair.A_PRIME_B}
+        for entry in (None, _measurement(SettingPair.A_PRIME_B)):
+            if entry is not None:
+                operators[SettingPair.A_PRIME_B] = entry
+            model = NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
+            with _raises(ValueError, "operators.A'B: not a CMatrix"):
+                model.verify(data)
+
 
 def test_measurement_list_input_is_stored_as_tuples():
-    from_lists = Measurement(AB, list(CANONICAL_BASIS), [1, -1, -1, 1], ["w", "x", "y", "z"])
-    from_tuples = Measurement(AB, CANONICAL_BASIS, (1.0, -1.0, -1.0, 1.0), ("w", "x", "y", "z"))
+    from_lists = Measurement(AB, list(CANONICAL_BASIS), [1, -1, -1, 1])
+    from_tuples = Measurement(AB, CANONICAL_BASIS, (1.0, -1.0, -1.0, 1.0))
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
-    for name in ("final_states", "outcomes", "labels"):
+    for name in ("final_states", "outcomes"):
         assert type(getattr(from_lists, name)) is tuple
     assert all(type(x) is float for x in from_lists.outcomes)
     assert from_lists.operator == from_tuples.operator
