@@ -9,18 +9,27 @@ operator when its realignment has rank one.  Where the entanglement of a
 construction sits can change with the isomorphism, which is why it is an
 argument everywhere rather than a global convention.
 
+A determinant modulus |v[k00] v[k11] - v[k01] v[k10]| depends on the
+isomorphism only through its pairing {{k00, k11}, {k01, k10}}: complex
+products and IEEE sums commute, and |x - y| = |y - x|, so the 24
+isomorphisms form 3 pairing classes of 8 that give the same moduli bit for
+bit.  A measurement's flags, at any tolerance, are read from moduli it
+computes once per pairing class.
+
 The two shipped isomorphisms cannot show such a change.
 :data:`SWAPPED_ISO` only exchanges the two tensor factors: it reshapes
 every vector into the transpose of its :data:`CANONICAL_ISO` array and
 realigns every operator into the transpose of its canonical realignment.
 A transpose has the same determinant and the same 2x2 minors, bit for bit,
-so every state, measurement and operator flag is the same under both.
+so every state, measurement and operator flag is the same under both, and
+the two are in one pairing class.
 
 Validation happens once, where a value is built: amplitudes and entries in
 ``linalg``, the unit norm in :class:`StateVector`, the setting pair, the
 four final states and outcomes and their orthonormality in
-:class:`Measurement`, and one measurement or operator per setting pair in
-:func:`predict_model`.  The kernels trust their arguments.  Each evaluates
+:class:`Measurement`, and one measurement or operator per setting pair
+where a construction enters (``models.NamedModel`` and
+:func:`verify_model`).  The kernels trust their arguments.  Each evaluates
 its sums in a fixed order with explicit loops, never with ``sum``, and
 gives the same floats, bit for bit, as the straightforward forms kept in
 ``tests/oracles.py``.  Measurements are immutable and may be shared:
@@ -77,9 +86,11 @@ class Isomorphism(Value):
         object.__setattr__(self, "cells", cells)
         # the coordinates in cells 00, 11, 01, 10: the determinant of a
         # vector's reshaped array is v[k00] v[k11] - v[k01] v[k10]
-        object.__setattr__(
-            self, "_det_indices", tuple(cells.index(c) for c in ((0, 0), (1, 1), (0, 1), (1, 0)))
-        )
+        k00, k11, k01, k10 = (cells.index(c) for c in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        object.__setattr__(self, "_det_indices", (k00, k11, k01, k10))
+        # the pairing class, named by the coordinate that shares a diagonal
+        # with coordinate 0 (1, 2 or 3)
+        object.__setattr__(self, "_pairing", {k00: k11, k11: k00, k01: k10, k10: k01}[0])
 
 
 #: Index k goes to cell (k // 2, k % 2).
@@ -137,7 +148,13 @@ class Measurement(Value):
     tuples, and each rejection is a :class:`ValueError` that names its
     field.  The measurement is immutable, so :attr:`operator` is built on
     first use and kept, and one measurement can be shared by any number of
-    models (``models`` builds each canonical-basis measurement once).
+    models (``models`` builds each canonical-basis measurement once).  So
+    are its final states' determinant moduli, per pairing class of
+    :class:`Isomorphism` (see :func:`is_entangled_measurement`); equality
+    and hashing ignore both.  Orthonormality does not depend on the order
+    of the final states, so :meth:`_reordered` derives another ordering of
+    a checked basis without a second Gram check; every public construction
+    runs the full check.
     """
 
     _fields = ("pair", "final_states", "outcomes")
@@ -181,6 +198,22 @@ class Measurement(Value):
         # the conjugated final-state amplitudes, for the Born rule and the
         # spectral form
         object.__setattr__(self, "_conjugates", conjugates)
+        # Isomorphism._pairing -> the four determinant moduli, filled on use
+        object.__setattr__(self, "_moduli", {})
+
+    def _reordered(self, pair: SettingPair, order: tuple[int, int, int, int]) -> Measurement:
+        """``Measurement(pair, [self.final_states[i] for i in order],
+        self.outcomes)`` without its checks: ``pair`` must be a
+        :class:`tables.SettingPair` and ``order`` a permutation of 0..3."""
+        new = object.__new__(Measurement)
+        vars(new).update(
+            pair=pair,
+            final_states=tuple([self.final_states[i] for i in order]),
+            outcomes=self.outcomes,
+            _conjugates=tuple([self._conjugates[i] for i in order]),
+            _moduli={},
+        )
+        return new
 
     @cached_property
     def operator(self) -> CMatrix:
@@ -195,7 +228,8 @@ def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTabl
     for c0, c1, c2, c3 in measurement._conjugates:
         # |<final_k|state>|^2, with the additions of linalg.inner in its order
         p = abs(0j + c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3) ** 2
-        probs.append(min(max(p, 0.0), 1.0))
+        # a squared modulus is never negative; rounding can exceed 1
+        probs.append(p if p <= 1.0 else 1.0)
     return JointTable(*probs, pair=measurement.pair)
 
 
@@ -297,16 +331,29 @@ def is_product_operator(
     return True
 
 
+def _determinant_moduli(final_states: tuple[CVector, ...], iso: Isomorphism) -> tuple:
+    """Each final state's determinant modulus, as :func:`is_product_vector`
+    computes it."""
+    k00, k11, k01, k10 = iso._det_indices
+    amplitudes = [f.amplitudes for f in final_states]
+    return tuple([abs(a[k00] * a[k11] - a[k01] * a[k10]) for a in amplitudes])
+
+
 def is_entangled_measurement(
     measurement: Measurement,
     iso: Isomorphism = CANONICAL_ISO,
     tol: float = EXACT_TOL,
 ) -> bool:
     """A measurement is entangled when at least one final state is not a
-    product vector under ``iso``."""
-    return any(
-        not is_product_vector(f, iso, tol) for f in measurement.final_states
-    )
+    product vector under ``iso``, from determinant moduli computed once per
+    measurement and pairing class.  A NaN ``tol`` fails closed."""
+    moduli = measurement._moduli.get(iso._pairing)
+    if moduli is None:
+        moduli = measurement._moduli[iso._pairing] = _determinant_moduli(
+            measurement.final_states, iso
+        )
+    d0, d1, d2, d3 = moduli
+    return not d0 <= tol or not d1 <= tol or not d2 <= tol or not d3 <= tol
 
 
 ModelVerdict = namedtuple(
@@ -348,6 +395,24 @@ def _bell_combination(values: Mapping[SettingPair, complex]) -> complex:
     return total
 
 
+def _check_pairs(
+    measurements: Mapping[SettingPair, Measurement] | None,
+    operators: Mapping[SettingPair, CMatrix] | None,
+) -> None:
+    """Raise a :class:`ValueError` naming the first setting pair, such as
+    ``measurements.AB``, whose entry is not a Measurement of that pair (or,
+    when ``measurements`` is None, not a CMatrix in ``operators``)."""
+    if measurements is not None:
+        for pair in PAIR_ORDER:
+            measurement = measurements.get(pair)
+            if not isinstance(measurement, Measurement) or measurement.pair is not pair:
+                raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
+    else:
+        for pair in PAIR_ORDER:
+            if not isinstance(operators.get(pair), CMatrix):
+                raise ValueError(f"operators.{pair.label}: not a CMatrix")
+
+
 def predict_model(
     state: StateVector,
     measurements: Mapping[SettingPair, Measurement] | None,
@@ -357,25 +422,19 @@ def predict_model(
     of ``measurements`` and ``operators``: from the four Born tables (each
     pair's expectation is 0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its
     outcomes x, each Hermiticity residual 0.0), or from the quadratic
-    forms <s|E|s> and the measured Hermiticity residuals.  A missing or
-    wrong entry (not a Measurement of its key's pair, not a CMatrix) is a
-    :class:`ValueError` that names it, such as ``measurements.AB``."""
+    forms <s|E|s> and the measured Hermiticity residuals.  Its callers
+    have passed the construction through :func:`_check_pairs`."""
     if measurements is not None:
         predicted = {}
         expectations = {}
         for pair in PAIR_ORDER:
-            measurement = measurements.get(pair)
-            if not isinstance(measurement, Measurement) or measurement.pair is not pair:
-                raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
+            measurement = measurements[pair]
             predicted[pair] = probabilities = born_probabilities(state, measurement).values
             p0, p1, p2, p3 = probabilities
             x0, x1, x2, x3 = measurement.outcomes
             expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
         hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
     else:
-        for pair in PAIR_ORDER:
-            if not isinstance(operators.get(pair), CMatrix):
-                raise ValueError(f"operators.{pair.label}: not a CMatrix")
         expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
         predicted = {p: z.real for p, z in expectations.items()}
         hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
@@ -413,7 +472,9 @@ def verify_predictions(
         observed = data.table(pair)
         predicted = predictions.predicted[pair]
         if measurements is not None:
-            residuals[pair] = max(abs(p - o) for p, o in zip(predicted, observed.values))
+            p0, p1, p2, p3 = predicted
+            o0, o1, o2, o3 = observed.values
+            residuals[pair] = max(abs(p0 - o0), abs(p1 - o1), abs(p2 - o2), abs(p3 - o3))
             entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
         else:
             residuals[pair] = abs(predicted - expectation_value(observed))
@@ -445,5 +506,6 @@ def verify_model(
     """Check a construction given by its state and measurements against
     the data tables: :func:`predict_model`, then :func:`verify_predictions`.
     Entangled final states are decided at :data:`tables.EXACT_TOL`.  No
-    operator matrix is built."""
+    operator matrix is built.  See :func:`_check_pairs` for the errors."""
+    _check_pairs(measurements, None)
     return verify_predictions(predict_model(state, measurements, None), data, tol, iso)

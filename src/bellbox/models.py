@@ -17,9 +17,13 @@ a state plus four measurements reproducing its probabilities.  The two
 vessel constructions differ in where the entanglement sits (state vs.
 measurements), which is the point of keeping both.  Their canonical
 product-basis measurements do not depend on the phases, so each is built
-once, on first use, and shared by every vessel model.  A vessel model has
-no operator matrices: it is verified from its Born tables (see
-``hilbert``).
+once, on first use, and shared by every vessel model, with the
+determinant moduli behind its flags.  The AB', A'B and A'B' bases of
+:func:`vessels_model` are three orders of one set, checked for
+orthonormality once.  A vessel model has no operator matrices: it is
+verified from its Born tables (see ``hilbert``), and a second isomorphism
+of the same pairing class adds only the data comparison and the state's
+flag.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .hilbert import (
     ModelPredictions,
     ModelVerdict,
     StateVector,
+    _check_pairs,
     predict_model,
     verify_predictions,
 )
@@ -66,7 +71,8 @@ class NamedModel(Value):
 
     A construction is given by exactly one of ``measurements`` and
     ``operators``; the other is ``None``, and a :class:`ValueError` naming
-    the field refuses both or neither.  ``measurements`` holds labeled
+    the field refuses both or neither, or a missing or wrong entry (see
+    :func:`hilbert._check_pairs`).  ``measurements`` holds labeled
     final-state bases when the construction provides them, and it is
     verified from their Born tables.  The animal-acts model is known only
     through its operator matrices (their +-1 spectra are degenerate, so
@@ -104,6 +110,7 @@ class NamedModel(Value):
             raise ValueError("operators: must be None when measurements are given")
         if measurements is None and operators is None:
             raise ValueError("measurements: a construction needs measurements or operators")
+        _check_pairs(measurements, operators)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", measurements)
@@ -290,13 +297,15 @@ def vessels_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
     state = CVector([0, a, b, 0])
     partner = CVector([0, a, -b, 0])
     e0, e3 = CANONICAL_BASIS[0], CANONICAL_BASIS[3]
-    bases = {
-        SettingPair.AB: CANONICAL_BASIS,
-        SettingPair.AB_PRIME: (state, partner, e0, e3),
-        SettingPair.A_PRIME_B: (state, e0, partner, e3),
-        SettingPair.A_PRIME_B_PRIME: (state, e0, e3, partner),
+    # A'B holds (state, e0, partner, e3) and A'B' (state, e0, e3, partner)
+    ab_prime = Measurement(SettingPair.AB_PRIME, (state, partner, e0, e3))
+    measurements = {
+        SettingPair.AB: _canonical_measurement(SettingPair.AB),
+        SettingPair.AB_PRIME: ab_prime,
+        SettingPair.A_PRIME_B: ab_prime._reordered(SettingPair.A_PRIME_B, (0, 2, 1, 3)),
+        SettingPair.A_PRIME_B_PRIME: ab_prime._reordered(SettingPair.A_PRIME_B_PRIME, (0, 2, 3, 1)),
     }
-    return _vessel_model("vessels", state, bases, alpha, beta)
+    return _vessel_model("vessels", state, measurements, alpha, beta)
 
 
 def vessels_alternative_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
@@ -314,13 +323,13 @@ def vessels_alternative_model(alpha: float = 0.0, beta: float = 0.0) -> NamedMod
     e = CANONICAL_BASIS
     w_plus = CVector([a, 0, 0, b])
     w_minus = CVector([a, 0, 0, -b])
-    bases = {
-        SettingPair.AB: (e[1], w_plus, w_minus, e[2]),
-        SettingPair.AB_PRIME: e,
-        SettingPair.A_PRIME_B: e,
-        SettingPair.A_PRIME_B_PRIME: e,
+    measurements = {
+        SettingPair.AB: Measurement(SettingPair.AB, (e[1], w_plus, w_minus, e[2])),
+        SettingPair.AB_PRIME: _canonical_measurement(SettingPair.AB_PRIME),
+        SettingPair.A_PRIME_B: _canonical_measurement(SettingPair.A_PRIME_B),
+        SettingPair.A_PRIME_B_PRIME: _canonical_measurement(SettingPair.A_PRIME_B_PRIME),
     }
-    return _vessel_model("vessels-alt", e[0], bases, alpha, beta)
+    return _vessel_model("vessels-alt", e[0], measurements, alpha, beta)
 
 
 @cache
@@ -328,25 +337,19 @@ def _canonical_measurement(pair: SettingPair) -> Measurement:
     """The canonical product basis read out at ``pair``.
 
     It does not depend on any phase, so it is built on first use, once per
-    pair, and every vessel model shares it."""
+    pair, and every vessel model shares it, with its determinant moduli."""
     return Measurement(pair, CANONICAL_BASIS)
 
 
 def _vessel_model(
     name: str,
     state: CVector,
-    bases: Mapping[SettingPair, tuple[CVector, ...]],
+    measurements: Mapping[SettingPair, Measurement],
     alpha: float,
     beta: float,
 ) -> NamedModel:
     """An exact construction on the vessels data from its state and the
-    final-state basis of each setting pair; a basis given as
-    :data:`linalg.CANONICAL_BASIS` itself takes the shared
-    :func:`_canonical_measurement`."""
-    measurements = {
-        pair: _canonical_measurement(pair) if basis is CANONICAL_BASIS else Measurement(pair, basis)
-        for pair, basis in bases.items()
-    }
+    measurement of each setting pair."""
     return NamedModel(
         name=name,
         state=StateVector(state),
@@ -380,7 +383,11 @@ def basis_from_probabilities(
     comes out real and nonnegative, equal to sqrt(target_k): the phase
     convention that makes the construction deterministic.
     """
-    vals = tuple(float(x) for x in targets)
+    entries = tuple(targets)
+    # float parses text, so text is refused before it
+    if isinstance(targets, (str, bytes)) or any(isinstance(x, (str, bytes)) for x in entries):
+        raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
+    vals = tuple(float(x) for x in entries)
     if len(vals) != 4:
         raise ValueError(f"expected 4 target probabilities, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):

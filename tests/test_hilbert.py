@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -437,6 +438,103 @@ class TestIsomorphism:
             assert not is_product_vector(w2, iso)
 
 
+#: Every identification of C^4 with C^2 (x) C^2 by a coordinate permutation.
+ALL_ISOS = tuple(
+    Isomorphism(f"iso{i}", cells)
+    for i, cells in enumerate(itertools.permutations(((0, 0), (0, 1), (1, 0), (1, 1))))
+)
+
+
+def _determinant_cache_cases(seed):
+    """Fresh measurements: seeded synthesized bases, vessel bases at random
+    phases (signed zeros included) and the canonical basis."""
+    rng = random.Random(seed)
+    cases = [Measurement(SettingPair.AB, CANONICAL_BASIS)]
+    for _ in range(8):
+        state = StateVector(random_unit_cvector(rng))
+        for pair in PAIR_ORDER:
+            cases.append(basis_from_probabilities(state, random_table(rng, pair).values, pair))
+    for _ in range(8):
+        phases = [rng.choice((0.0, -0.0, rng.uniform(-4.0, 4.0))) for _ in range(2)]
+        for build in (vessels_model, vessels_alternative_model):
+            cases += [
+                Measurement(pair, m.final_states, m.outcomes)
+                for pair, m in build(*phases).measurements.items()
+            ]
+    return cases
+
+
+class TestDeterminantCache:
+    """A measurement's determinant moduli are computed once per pairing
+    class of isomorphism, and every isomorphism of the class reads them."""
+
+    def test_pairing_classes(self):
+        classes = {}
+        for iso in ALL_ISOS:
+            k00, k11, k01, k10 = iso._det_indices
+            pairing = frozenset((frozenset((k00, k11)), frozenset((k01, k10))))
+            classes.setdefault(iso._pairing, set()).add(pairing)
+        assert sorted(classes) == [1, 2, 3]
+        # one pairing per key, and each key held by 8 isomorphisms
+        assert all(len(pairings) == 1 for pairings in classes.values())
+        counts = [sum(iso._pairing == key for iso in ALL_ISOS) for key in classes]
+        assert counts == [8, 8, 8]
+        assert SWAPPED_ISO._pairing == CANONICAL_ISO._pairing
+
+    def test_cached_moduli_equal_each_isomorphisms_own_determinants(self):
+        for m in _determinant_cache_cases(1616):
+            for iso in ALL_ISOS:
+                is_entangled_measurement(m, iso)
+                k00, k11, k01, k10 = iso._det_indices
+                direct = [
+                    abs(a[k00] * a[k11] - a[k01] * a[k10])
+                    for a in (f.amplitudes for f in m.final_states)
+                ]
+                assert [d.hex() for d in m._moduli[iso._pairing]] == [d.hex() for d in direct]
+            assert sorted(m._moduli) == [1, 2, 3]
+
+    def test_flags_equal_the_product_vector_flags(self):
+        tols = (EXACT_TOL, 0.0, 1e-3, 0.25, 0.5, -1.0, float("nan"))
+        for m in _determinant_cache_cases(1617):
+            for iso in ALL_ISOS:
+                for tol in tols:
+                    want = any(not is_product_vector(f, iso, tol) for f in m.final_states)
+                    assert is_entangled_measurement(m, iso, tol) is want
+
+    def test_reordered_measurement_equals_a_checked_one(self):
+        rng = random.Random(1618)
+        orders = list(itertools.permutations(range(4)))
+        for _ in range(10):
+            basis = np_random_orthonormal_basis(rng)
+            outcomes = rng.choice(((1.0, -1.0, -1.0, 1.0), (0.5, 2.0, -3.0, 0.0)))
+            m = Measurement(SettingPair.AB, basis, outcomes)
+            is_entangled_measurement(m)
+            for pair in PAIR_ORDER:
+                order = rng.choice(orders)
+                reordered = m._reordered(pair, order)
+                checked = Measurement(pair, [basis[i] for i in order], outcomes)
+                assert reordered == checked and hash(reordered) == hash(checked)
+                assert reordered._conjugates == checked._conjugates
+                assert reordered._moduli == {} and reordered._moduli is not m._moduli
+                assert is_entangled_measurement(reordered) == is_entangled_measurement(checked)
+
+    def test_vessel_bases_are_reorderings_of_one_checked_basis(self):
+        for alpha, beta in ((0.0, -0.0), (0.3, 1.1), (-2.5, 4.0)):
+            model = vessels_model(alpha, beta)
+            state = model.state.vector
+            partner = CVector([0, state[1], -state[2], 0])
+            e0, e3 = CANONICAL_BASIS[0], CANONICAL_BASIS[3]
+            bases = {
+                SettingPair.AB_PRIME: (state, partner, e0, e3),
+                SettingPair.A_PRIME_B: (state, e0, partner, e3),
+                SettingPair.A_PRIME_B_PRIME: (state, e0, e3, partner),
+            }
+            for pair, basis in bases.items():
+                checked = Measurement(pair, basis)
+                assert model.measurements[pair] == checked
+                assert model.measurements[pair]._conjugates == checked._conjugates
+
+
 class TestVerifyModel:
     def test_vessel_model_against_data(self):
         verdict = verify_model(
@@ -589,6 +687,9 @@ ACCEPTS_WITHIN = {
         JointTable(0.25, 0.25, 0.25, 0.25), tol
     ).factorizable,
     "is_product_vector": lambda tol: is_product_vector(CVector([1, 0, 0, 0]), tol=tol),
+    "is_entangled_measurement": lambda tol: not is_entangled_measurement(
+        Measurement(SettingPair.AB, CANONICAL_BASIS), tol=tol
+    ),
     "is_product_operator": lambda tol: is_product_operator(CMatrix(np.eye(4)), tol=tol),
     "verify_model": _vessels_pass,
 }

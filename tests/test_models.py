@@ -332,9 +332,10 @@ class TestVerifyOnce:
         measurements = count_calls(models, "Measurement")
         operators = count_calls(hilbert, "operator_from_measurement")
         second = (vessels_model(-0.7, 2.1), vessels_alternative_model(0.6, -2.5))
-        # vessels builds three phase-dependent measurements, vessels-alt
-        # one, and neither builds an operator
-        assert (measurements[0], operators[0]) == (4, 0)
+        # vessels checks one phase-dependent basis and reorders it for the
+        # other two pairs, vessels-alt builds one, and neither builds an
+        # operator
+        assert (measurements[0], operators[0]) == (2, 0)
         canonical = {
             SettingPair.AB: [first[0], second[0]],
             **{pair: [first[1], second[1]] for pair in PAIR_ORDER[1:]},
@@ -346,6 +347,22 @@ class TestVerifyOnce:
                 assert model.measurements[pair] is shared
                 assert model.measurements[pair].operator is shared.operator
         assert models._canonical_measurement.cache_info().currsize == 4
+
+    def test_determinants_computed_once_per_measurement_and_pairing_class(self, count_calls):
+        # the canonical and swapped identifications are one pairing class
+        models._canonical_measurement.cache_clear()
+        moduli = count_calls(hilbert, "_determinant_moduli")
+        for build in (vessels_model, vessels_alternative_model):
+            model = build(0.3, 0.8)
+            for iso in ISOS + ISOS:
+                model.verify(vessels_data().experiment, iso=iso)
+        # vessels: 3 phase-dependent bases and the shared AB; vessels-alt:
+        # 1 phase-dependent basis and the shared AB', A'B, A'B'
+        assert moduli[0] == 4 + 4
+        other_class = hilbert.Isomorphism("other", ((0, 0), (1, 1), (0, 1), (1, 0)))
+        assert other_class._pairing != CANONICAL_ISO._pairing
+        vessels_model(0.3, 0.8).verify(iso=other_class)
+        assert moduli[0] == 8 + 4
 
     def test_comparing_vessel_models_builds_no_operator(self, count_calls):
         # the benchmark compares each op's output with a reference by ==
@@ -476,6 +493,17 @@ class TestBasisFromProbabilities:
             basis_from_probabilities(state, (0.5, 0.5))
         with pytest.raises(ValueError, match=r"^target probabilities must be finite: "):
             basis_from_probabilities(state, (float("nan"), 0.5, 0.25, 0.25))
+
+    @pytest.mark.parametrize(
+        "targets",
+        ["1000", b"1000", ("0.1", "0.2", "0.3", "0.4"), (0.1, 0.2, b"0.3", 0.4)],
+        ids=["str", "bytes", "str-entries", "bytes-entry"],
+    )
+    def test_text_targets_refused(self, targets):
+        # float parses text, so text would pass for probabilities
+        state = StateVector(CVector([1, 0, 0, 0]))
+        with pytest.raises(ValueError, match=r"^targets must be 4 numbers, not text: "):
+            basis_from_probabilities(state, targets)
 
     def test_reproduces_survey_probabilities(self):
         # synthesizing bases from the survey tables gives a basis-backed

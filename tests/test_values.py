@@ -516,16 +516,15 @@ class TestValidationMessages:
         for measurements in (missing, misfiled, {**misfiled, AB: _matrix()}):
             with _raises(ValueError, "measurements.AB: no Measurement of AB"):
                 verify_model(_state(), measurements, data, 1e-9)
-            model = NamedModel("m", _state(), measurements, None, "vessels", 1e-9)
+            # a model is refused where it is built, not at its first verify
             with _raises(ValueError, "measurements.AB: no Measurement of AB"):
-                model.verify(data)
+                NamedModel("m", _state(), measurements, None, "vessels", 1e-9)
         operators = {p: _matrix() for p in PAIR_ORDER if p is not SettingPair.A_PRIME_B}
         for entry in (None, _measurement(SettingPair.A_PRIME_B)):
             if entry is not None:
                 operators[SettingPair.A_PRIME_B] = entry
-            model = NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
             with _raises(ValueError, "operators.A'B: not a CMatrix"):
-                model.verify(data)
+                NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
 
 
 def test_measurement_list_input_is_stored_as_tuples():
