@@ -5,7 +5,9 @@ its own ``__init__``, with ``object.__setattr__``.  From then on, assigning
 or deleting any attribute raises :class:`AttributeError`.  Equality,
 hashing and the repr go over the named fields only, so a value that
 ``functools.cached_property`` keeps in the instance ``__dict__`` never takes
-part.  Defining such a class costs no more than any class statement, where
+part.  :meth:`Value._make` is the one way to build a value without the
+checks of its ``__init__``, for a caller that has already made them.
+Defining such a class costs no more than any class statement, where
 a generated ``dataclasses`` class costs about a millisecond.
 """
 
@@ -19,6 +21,14 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._fields)
+
+    @classmethod
+    def _make(cls, **fields: object):
+        """A value with ``fields`` set as given and no check of ``__init__``
+        made: the caller guarantees what that check would."""
+        value = object.__new__(cls)
+        vars(value).update(fields)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -15,6 +15,11 @@ distribution law holds:
 A violation beyond the Tsirelson bound with intact marginals falls
 outside these classes and raises :class:`AmbiguousClassError` rather
 than guessing.
+
+The CHSH sign convention is :data:`REFERENCE_SIGNS`.  :func:`chsh` scores
+it first among its variants, and :func:`_reference_combination` applies it
+to a construction's per-pair values: ``hilbert`` takes a model's Bell
+value and each entry of the Bell operator from it.
 """
 
 from __future__ import annotations
@@ -48,13 +53,23 @@ CHSH_TERM_ORDER = (
 )
 
 #: Signs of the reference combination (minus on AB): the one statement of
-#: the CHSH sign convention, shared by :func:`chsh` and the Bell operator.
+#: the CHSH sign convention.
 REFERENCE_SIGNS: Mapping[SettingPair, int] = {
     SettingPair.A_PRIME_B_PRIME: +1,
     SettingPair.A_PRIME_B: +1,
     SettingPair.AB_PRIME: +1,
     SettingPair.AB: -1,
 }
+
+
+def _reference_combination(values: Mapping[SettingPair, complex]) -> complex:
+    """E_A'B' + E_A'B + E_AB' - E_AB of per-pair values, with the signs of
+    :data:`REFERENCE_SIGNS`, added left to right in :data:`CHSH_TERM_ORDER`
+    from 0.0."""
+    total = 0.0
+    for pair in CHSH_TERM_ORDER:
+        total = total + values[pair] if REFERENCE_SIGNS[pair] > 0 else total - values[pair]
+    return total
 
 
 class ZooClass(Enum):

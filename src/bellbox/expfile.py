@@ -47,7 +47,6 @@ from .tables import (
     PAIR_ORDER,
     TableError,
     _check_side,
-    _set_experiment,
     normalize,
 )
 
@@ -279,4 +278,4 @@ def read_experiment(
         raise _fail(path, "metadata", "must be an object when present")
 
     sides = (tuple(sides["first"]), tuple(sides["second"]))
-    return _set_experiment(object.__new__(Experiment), tuple(tables), sides), metadata
+    return Experiment._make(tables=tuple(tables), sides=sides), metadata

@@ -13,8 +13,10 @@ A determinant modulus |v[k00] v[k11] - v[k01] v[k10]| depends on the
 isomorphism only through its pairing {{k00, k11}, {k01, k10}}: complex
 products and IEEE sums commute, and |x - y| = |y - x|, so the 24
 isomorphisms form 3 pairing classes of 8 that give the same moduli bit for
-bit.  A measurement's flags, at any tolerance, are read from moduli it
-computes once per pairing class.
+bit.  The modulus is written once, in :func:`_det_modulus`, which
+:func:`is_product_vector`, :func:`schmidt_coefficients` and a measurement's
+moduli call.  A measurement's flags, at any tolerance, are read from moduli
+it computes once per pairing class.
 
 The two shipped isomorphisms cannot show such a change.
 :data:`SWAPPED_ISO` only exchanges the two tensor factors: it reshapes
@@ -27,9 +29,11 @@ the two are in one pairing class.
 Validation happens once, where a value is built: amplitudes and entries in
 ``linalg``, the unit norm in :class:`StateVector`, the setting pair, the
 four final states and outcomes and their orthonormality in
-:class:`Measurement`, and one measurement or operator per setting pair
-where a construction enters (``models.NamedModel`` and
-:func:`verify_model`).  The kernels trust their arguments.  Each evaluates
+:class:`Measurement`, and a construction where it enters
+(``models.NamedModel`` and :func:`verify_model`), in the one check
+:func:`_check_construction`: a :class:`StateVector`, and exactly one of
+measurements and operators, a mapping with one entry per setting pair,
+filed under it.  The kernels trust their arguments.  Each evaluates
 its sums in a fixed order with explicit loops, never with ``sum``, and
 gives the same floats, bit for bit, as the straightforward forms kept in
 ``tests/oracles.py``.  Measurements are immutable and may be shared:
@@ -38,10 +42,11 @@ model reuses it.
 
 A construction given by its measurements is predicted from their Born
 tables alone.  Its Bell value is the CHSH combination of the expectations
-sum x_k p_k, which equals <s|B|s> by linearity, and its Hermiticity
-residuals are 0.0: an operator in spectral form with real outcomes is
-Hermitian bit for bit, since entries (i, j) and (j, i) add the same
-products, conjugated.  So no operator matrix is built to verify it;
+sum x_k p_k (``bell._reference_combination``, which also builds each entry
+of :func:`bell_operator`), which equals <s|B|s> by linearity, and its
+Hermiticity residuals are 0.0: an operator in spectral form with real
+outcomes is Hermitian bit for bit, since entries (i, j) and (j, i) add the
+same products, conjugated.  So no operator matrix is built to verify it;
 :attr:`Measurement.operator` builds one on request.
 """
 
@@ -49,8 +54,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from ._value import Value
 from .linalg import (
@@ -60,7 +66,7 @@ from .linalg import (
     hermiticity_residual,
     quadratic_form,
 )
-from .bell import CHSH_TERM_ORDER, REFERENCE_SIGNS
+from .bell import _reference_combination
 from .tables import (
     EXACT_TOL, PAIR_ORDER, Experiment, JointTable, SettingPair, expectation_value
 )
@@ -71,7 +77,8 @@ COINCIDENCE_OUTCOMES = (1.0, -1.0, -1.0, 1.0)
 
 
 class Isomorphism(Value):
-    """Assignment of each C^4 coordinate to a cell of a 2x2 array."""
+    """Assignment of each C^4 coordinate to a cell of a 2x2 array; the cells
+    are stored as a tuple, whatever sequence they came in."""
 
     _fields = ("name", "cells")
 
@@ -80,6 +87,7 @@ class Isomorphism(Value):
         name: str,
         cells: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]],
     ) -> None:
+        cells = tuple(cells)
         if sorted(cells) != [(0, 0), (0, 1), (1, 0), (1, 1)]:
             raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {cells}")
         object.__setattr__(self, "name", name)
@@ -205,15 +213,13 @@ class Measurement(Value):
         """``Measurement(pair, [self.final_states[i] for i in order],
         self.outcomes)`` without its checks: ``pair`` must be a
         :class:`tables.SettingPair` and ``order`` a permutation of 0..3."""
-        new = object.__new__(Measurement)
-        vars(new).update(
+        return Measurement._make(
             pair=pair,
             final_states=tuple([self.final_states[i] for i in order]),
             outcomes=self.outcomes,
             _conjugates=tuple([self._conjugates[i] for i in order]),
             _moduli={},
         )
-        return new
 
     @cached_property
     def operator(self) -> CMatrix:
@@ -251,26 +257,21 @@ def operator_from_measurement(measurement: Measurement) -> CMatrix:
     return CMatrix(rows)
 
 
-#: The terms of the CHSH combination in :data:`bell.CHSH_TERM_ORDER`, each
-#: with whether :data:`bell.REFERENCE_SIGNS` adds it (True) or subtracts it.
-_BELL_TERMS = tuple((p, REFERENCE_SIGNS[p] > 0) for p in CHSH_TERM_ORDER)
-
-
 def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
-    """The CHSH combination of ``operators`` with the signs of
-    :data:`bell.REFERENCE_SIGNS`: E_A'B' + E_A'B + E_AB' - E_AB, summed
-    entry by entry in :data:`bell.CHSH_TERM_ORDER`."""
-    terms = [(operators[p].rows, plus) for p, plus in _BELL_TERMS]
-    rows = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            total = 0j
-            for m, plus in terms:
-                total = total + m[i][j] if plus else total - m[i][j]
-            row.append(total)
-        rows.append(row)
-    return CMatrix(rows)
+    """E_A'B' + E_A'B + E_AB' - E_AB of ``operators``: each entry is the
+    reference CHSH combination of ``bell`` over the four operators' entries."""
+    rows = {p: operators[p].rows for p in PAIR_ORDER}
+    return CMatrix([
+        [_reference_combination({p: m[i][j] for p, m in rows.items()}) for j in range(DIM)]
+        for i in range(DIM)
+    ])
+
+
+def _det_modulus(amplitudes: tuple[complex, ...], iso: Isomorphism) -> float:
+    """|a[k00] a[k11] - a[k01] a[k10]|: the determinant modulus of the
+    amplitudes' 2x2 array under ``iso``, the one place it is computed."""
+    k00, k11, k01, k10 = iso._det_indices
+    return abs(amplitudes[k00] * amplitudes[k11] - amplitudes[k01] * amplitudes[k10])
 
 
 def schmidt_coefficients(
@@ -284,9 +285,8 @@ def schmidt_coefficients(
     """
     a = _vec(v).amplitudes
     k00, k11, k01, k10 = iso._det_indices
-    z00, z01, z10, z11 = a[k00], a[k01], a[k10], a[k11]
-    t = 0.0 + abs(z00) ** 2 + abs(z01) ** 2 + abs(z10) ** 2 + abs(z11) ** 2
-    d = abs(z00 * z11 - z01 * z10)
+    t = 0.0 + abs(a[k00]) ** 2 + abs(a[k01]) ** 2 + abs(a[k10]) ** 2 + abs(a[k11]) ** 2
+    d = _det_modulus(a, iso)
     disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
     s_large = math.sqrt(max((t + disc) / 2.0, 0.0))
     s_small = math.sqrt(max((t - disc) / 2.0, 0.0))
@@ -298,9 +298,7 @@ def is_product_vector(
 ) -> bool:
     """True when the vector is a tensor product under ``iso`` (the reshaped
     2x2 array has vanishing determinant)."""
-    a = _vec(v).amplitudes
-    k00, k11, k01, k10 = iso._det_indices
-    return abs(a[k00] * a[k11] - a[k01] * a[k10]) <= tol
+    return _det_modulus(_vec(v).amplitudes, iso) <= tol
 
 
 def realign(m: CMatrix, iso: Isomorphism = CANONICAL_ISO) -> CMatrix:
@@ -332,11 +330,8 @@ def is_product_operator(
 
 
 def _determinant_moduli(final_states: tuple[CVector, ...], iso: Isomorphism) -> tuple:
-    """Each final state's determinant modulus, as :func:`is_product_vector`
-    computes it."""
-    k00, k11, k01, k10 = iso._det_indices
-    amplitudes = [f.amplitudes for f in final_states]
-    return tuple([abs(a[k00] * a[k11] - a[k01] * a[k10]) for a in amplitudes])
+    """Each final state's determinant modulus, from :func:`_det_modulus`."""
+    return tuple([_det_modulus(f.amplitudes, iso) for f in final_states])
 
 
 def is_entangled_measurement(
@@ -385,29 +380,32 @@ tables, or the complex sum of the quadratic forms <s|E|s>.
 """
 
 
-def _bell_combination(values: Mapping[SettingPair, complex]) -> complex:
-    """E_A'B' + E_A'B + E_AB' - E_AB of per-pair values, with the signs of
-    :data:`bell.REFERENCE_SIGNS`, added left to right in
-    :data:`bell.CHSH_TERM_ORDER` from 0.0."""
-    total = 0.0
-    for pair, plus in _BELL_TERMS:
-        total = total + values[pair] if plus else total - values[pair]
-    return total
-
-
-def _check_pairs(
+def _check_construction(
+    state: StateVector,
     measurements: Mapping[SettingPair, Measurement] | None,
     operators: Mapping[SettingPair, CMatrix] | None,
 ) -> None:
-    """Raise a :class:`ValueError` naming the first setting pair, such as
-    ``measurements.AB``, whose entry is not a Measurement of that pair (or,
-    when ``measurements`` is None, not a CMatrix in ``operators``)."""
+    """Raise a :class:`ValueError` naming the field unless ``state`` is a
+    :class:`StateVector` and exactly one of ``measurements`` and
+    ``operators`` is given, as a mapping; or naming the first setting pair,
+    such as ``measurements.AB``, whose entry is not a Measurement of that
+    pair (or not a CMatrix in ``operators``)."""
+    if not isinstance(state, StateVector):
+        raise ValueError(f"state: expected a StateVector, got {state!r}")
+    if measurements is not None and operators is not None:
+        raise ValueError("operators: must be None when measurements are given")
+    if measurements is None and operators is None:
+        raise ValueError("measurements: a construction needs measurements or operators")
     if measurements is not None:
+        if not isinstance(measurements, Mapping):
+            raise ValueError(f"measurements: expected a mapping, got {measurements!r}")
         for pair in PAIR_ORDER:
             measurement = measurements.get(pair)
             if not isinstance(measurement, Measurement) or measurement.pair is not pair:
                 raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
     else:
+        if not isinstance(operators, Mapping):
+            raise ValueError(f"operators: expected a mapping, got {operators!r}")
         for pair in PAIR_ORDER:
             if not isinstance(operators.get(pair), CMatrix):
                 raise ValueError(f"operators.{pair.label}: not a CMatrix")
@@ -423,7 +421,7 @@ def predict_model(
     pair's expectation is 0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its
     outcomes x, each Hermiticity residual 0.0), or from the quadratic
     forms <s|E|s> and the measured Hermiticity residuals.  Its callers
-    have passed the construction through :func:`_check_pairs`."""
+    have passed the construction through :func:`_check_construction`."""
     if measurements is not None:
         predicted = {}
         expectations = {}
@@ -444,7 +442,7 @@ def predict_model(
         operators=operators,
         predicted=predicted,
         hermiticity_residuals=hermiticity,
-        bell_value=_bell_combination(expectations),
+        bell_value=_reference_combination(expectations),
     )
 
 
@@ -463,8 +461,11 @@ def verify_predictions(
     operators compares expectation values with the tables' and flags
     operators that are not products.  Entanglement of measurements and
     operators is decided at ``product_tol``, of the state at
-    :data:`tables.EXACT_TOL`.
+    :data:`tables.EXACT_TOL`.  An ``iso`` that is not an
+    :class:`Isomorphism` raises a :class:`ValueError` naming ``iso``.
     """
+    if not isinstance(iso, Isomorphism):
+        raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
     measurements = predictions.measurements
     residuals = {}
     entangled = {}
@@ -506,6 +507,7 @@ def verify_model(
     """Check a construction given by its state and measurements against
     the data tables: :func:`predict_model`, then :func:`verify_predictions`.
     Entangled final states are decided at :data:`tables.EXACT_TOL`.  No
-    operator matrix is built.  See :func:`_check_pairs` for the errors."""
-    _check_pairs(measurements, None)
+    operator matrix is built.  See :func:`_check_construction` for the
+    errors."""
+    _check_construction(state, measurements, None)
     return verify_predictions(predict_model(state, measurements, None), data, tol, iso)

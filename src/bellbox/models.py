@@ -43,12 +43,12 @@ from .hilbert import (
     ModelPredictions,
     ModelVerdict,
     StateVector,
-    _check_pairs,
+    _check_construction,
     predict_model,
     verify_predictions,
 )
 from .linalg import CANONICAL_BASIS, CMatrix, CVector, inner
-from .tables import ENTRY_EPS, EXACT_TOL, Experiment, JointTable, SettingPair, normalize
+from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
 #: only known to three decimals.
@@ -72,7 +72,7 @@ class NamedModel(Value):
     A construction is given by exactly one of ``measurements`` and
     ``operators``; the other is ``None``, and a :class:`ValueError` naming
     the field refuses both or neither, or a missing or wrong entry (see
-    :func:`hilbert._check_pairs`).  ``measurements`` holds labeled
+    :func:`hilbert._check_construction`).  ``measurements`` holds labeled
     final-state bases when the construction provides them, and it is
     verified from their Born tables.  The animal-acts model is known only
     through its operator matrices (their +-1 spectra are degenerate, so
@@ -106,11 +106,7 @@ class NamedModel(Value):
         alpha: float = 0.0,
         beta: float = 0.0,
     ) -> None:
-        if measurements is not None and operators is not None:
-            raise ValueError("operators: must be None when measurements are given")
-        if measurements is None and operators is None:
-            raise ValueError("measurements: a construction needs measurements or operators")
-        _check_pairs(measurements, operators)
+        _check_construction(state, measurements, operators)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "measurements", measurements)
@@ -211,17 +207,7 @@ def animal_acts_state() -> StateVector:
 
 
 def animal_acts_data() -> Fixture:
-    tables = {
-        pair: normalize(values, pair)
-        for pair, values in ANIMAL_ACTS_PROBABILITIES.items()
-    }
-    return Fixture(
-        name="animal-acts",
-        experiment=Experiment.from_tables(tables),
-        expected_chsh=2.421656,
-        chsh_tol=1e-6,
-        expected_class=ZooClass.NONLOCAL_NON_MARGINAL_BOX_1,
-    )
+    return get_fixture("animal-acts")
 
 
 def animal_acts_model() -> NamedModel:
@@ -241,45 +227,26 @@ def animal_acts_model() -> NamedModel:
 # ---------------------------------------------------------------------------
 
 
+#: The two vessel tables: the same outcome on both sides (perfect
+#: correlation) and opposite outcomes, each half of the time.
+_CORRELATED = (1.0, 0.0, 0.0, 0.0)
+_ANTI_CORRELATED = (0.0, 0.5, 0.5, 0.0)
+
+#: The connected vessels' tables in PAIR_ORDER.
+_VESSELS_TABLES = (_ANTI_CORRELATED, _CORRELATED, _CORRELATED, _CORRELATED)
+
+
 def vessels_data() -> Fixture:
     """Connected vessels: perfect anti-correlation for AB, perfect
     correlation for the other three setting pairs (CHSH = 4)."""
-    tables = {
-        SettingPair.AB: JointTable(0.0, 0.5, 0.5, 0.0, SettingPair.AB),
-        SettingPair.AB_PRIME: JointTable(1.0, 0.0, 0.0, 0.0, SettingPair.AB_PRIME),
-        SettingPair.A_PRIME_B: JointTable(1.0, 0.0, 0.0, 0.0, SettingPair.A_PRIME_B),
-        SettingPair.A_PRIME_B_PRIME: JointTable(
-            1.0, 0.0, 0.0, 0.0, SettingPair.A_PRIME_B_PRIME
-        ),
-    }
-    return Fixture(
-        name="vessels",
-        experiment=Experiment.from_tables(tables),
-        expected_chsh=4.0,
-        chsh_tol=1e-12,
-        expected_class=ZooClass.NONLOCAL_NON_MARGINAL_BOX_2,
-    )
+    return get_fixture("vessels")
 
 
 def vessels_separated_data() -> Fixture:
     """Vessels with the tube removed: the anti-correlation for AB stays,
     and the perfect correlation of A'B flips to anti-correlation
     (CHSH = 2)."""
-    tables = {
-        SettingPair.AB: JointTable(0.0, 0.5, 0.5, 0.0, SettingPair.AB),
-        SettingPair.AB_PRIME: JointTable(1.0, 0.0, 0.0, 0.0, SettingPair.AB_PRIME),
-        SettingPair.A_PRIME_B: JointTable(0.0, 0.5, 0.5, 0.0, SettingPair.A_PRIME_B),
-        SettingPair.A_PRIME_B_PRIME: JointTable(
-            1.0, 0.0, 0.0, 0.0, SettingPair.A_PRIME_B_PRIME
-        ),
-    }
-    return Fixture(
-        name="vessels-separated",
-        experiment=Experiment.from_tables(tables),
-        expected_chsh=2.0,
-        chsh_tol=1e-12,
-        expected_class=ZooClass.KOLMOGOROVIAN_COMPATIBLE,
-    )
+    return get_fixture("vessels-separated")
 
 
 def vessels_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
@@ -422,27 +389,43 @@ def basis_from_probabilities(
 # registry
 # ---------------------------------------------------------------------------
 
-#: Every built-in name -> (dataset builder, construction builder).  Either
-#: may be None: a name without a dataset is a further construction on the
-#: dataset its model names (``NamedModel.fixture_name``), and a name without
-#: a construction gets a data-only report from the model command.
-REGISTRY: Mapping[
-    str,
-    tuple[Callable[[], Fixture] | None, Callable[[float, float], NamedModel] | None],
-] = {
-    "animal-acts": (animal_acts_data, lambda alpha, beta: animal_acts_model()),
-    "vessels": (vessels_data, vessels_model),
+#: Every built-in name -> (dataset, construction builder).  A dataset is
+#: its four raw tables in PAIR_ORDER, each in cell order, its quoted CHSH,
+#: that figure's tolerance and its Zoo class; :func:`get_fixture` builds it.
+#: Either may be None: a name without a dataset is a further construction
+#: on the dataset its model names (``NamedModel.fixture_name``), and a name
+#: without a construction gets a data-only report from the model command.
+REGISTRY: Mapping[str, tuple[tuple | None, Callable[[float, float], NamedModel] | None]] = {
+    "animal-acts": (
+        (
+            tuple(ANIMAL_ACTS_PROBABILITIES[p] for p in PAIR_ORDER),
+            2.421656, 1e-6, ZooClass.NONLOCAL_NON_MARGINAL_BOX_1,
+        ),
+        lambda alpha, beta: animal_acts_model(),
+    ),
+    "vessels": ((_VESSELS_TABLES, 4.0, 1e-12, ZooClass.NONLOCAL_NON_MARGINAL_BOX_2), vessels_model),
     "vessels-alt": (None, vessels_alternative_model),
-    "vessels-separated": (vessels_separated_data, None),
+    "vessels-separated": (
+        (
+            # the vessels with A'B flipped
+            _VESSELS_TABLES[:2] + (_ANTI_CORRELATED,) + _VESSELS_TABLES[3:],
+            2.0, 1e-12, ZooClass.KOLMOGOROVIAN_COMPATIBLE,
+        ),
+        None,
+    ),
 }
 
 
 def get_fixture(name: str) -> Fixture:
-    builder = REGISTRY.get(name, (None, None))[0]
-    if builder is None:
-        choices = sorted(n for n, (data, _) in REGISTRY.items() if data is not None)
+    """The dataset ``name`` of :data:`REGISTRY`, each row through
+    :func:`tables.normalize`."""
+    data = REGISTRY.get(name, (None, None))[0]
+    if data is None:
+        choices = sorted(n for n, (dataset, _) in REGISTRY.items() if dataset is not None)
         raise ValueError(f"unknown fixture {name!r}; choose from {choices}")
-    return builder()
+    rows, expected_chsh, chsh_tol, expected_class = data
+    tables = tuple(map(normalize, rows, PAIR_ORDER))
+    return Fixture(name, Experiment(tables), expected_chsh, chsh_tol, expected_class)
 
 
 def get_model(name: str, alpha: float = 0.0, beta: float = 0.0) -> NamedModel:

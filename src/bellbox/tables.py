@@ -9,9 +9,10 @@ provides expectation values, marginals, the marginal-distribution-law
 One admission rule: the :class:`JointTable` constructor admits entries in
 [0, 1] (within :data:`ENTRY_EPS`) that sum to 1 within ``_SUM_TOL``.  Rounded
 rows go through :func:`normalize`, which checks each raw value once, sums
-once and rescales; the table it builds meets the rule by construction and
-is not checked again.  Sums add left to right from 0.0, as the builtin
-``sum`` does up to Python 3.11 (it is compensated from 3.12 on).
+once and rescales; the table it builds meets the rule by construction, so
+it is made with ``JointTable._make`` and not checked again.  Sums add left
+to right from 0.0, as the builtin ``sum`` does up to Python 3.11 (it is
+compensated from 3.12 on).
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class JointTable(Value):
     Cell order is (11, 12, 21, 22): first index for the first side's
     outcome, second for the second side's.  Entries must be probabilities
     summing to 1 within a few :data:`EXACT_TOL` (build via :func:`normalize`
-    to rescale rounded or raw values to an exact sum).
+    to rescale rounded or raw values to an exact sum), and ``pair`` a
+    :class:`SettingPair`; a :class:`TableError` names the pair or the cell.
     """
 
     _fields = ("p11", "p12", "p21", "p22", "pair")
@@ -141,31 +143,24 @@ class JointTable(Value):
         p22: float,
         pair: SettingPair = SettingPair.AB,
     ) -> None:
-        for label, value in zip(pair.outcome_labels, (p11, p12, p21, p22)):
-            if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
-                raise TableError(f"entry {label} = {value!r} is not a probability")
+        if not isinstance(pair, SettingPair):
+            raise TableError(f"pair must be a SettingPair, got {pair!r}")
+        try:
+            for label, value in zip(pair.outcome_labels, (p11, p12, p21, p22)):
+                if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
+                    raise TableError(f"entry {label} = {value!r} is not a probability")
+        except TypeError:  # the entry does not compare with a float
+            raise TableError(f"entry {label} = {value!r} is not a probability") from None
         total = 0.0 + p11 + p12 + p21 + p22
         if not abs(total - 1.0) <= _SUM_TOL:
             raise NotNormalizableError(
                 f"table {pair.label} sums to {total!r}, too far from 1"
             )
-        _fill(self, p11, p12, p21, p22, pair)
+        vars(self).update(p11=p11, p12=p12, p21=p21, p22=p22, pair=pair)
 
     @property
     def values(self) -> tuple[float, float, float, float]:
         return (self.p11, self.p12, self.p21, self.p22)
-
-    @property
-    def outcome_labels(self) -> tuple[str, str, str, str]:
-        return self.pair.outcome_labels
-
-
-def _fill(
-    table: JointTable, p11: float, p12: float, p21: float, p22: float, pair: SettingPair
-) -> JointTable:
-    """Set the fields of ``table``, whose values meet the admission rule."""
-    vars(table).update(p11=p11, p12=p12, p21=p21, p22=p22, pair=pair)
-    return table
 
 
 def normalize(
@@ -206,7 +201,7 @@ def normalize(
         p11, p12, p21, p22 = p11 / total, p12 / total, p21 / total, p22 / total
     # each entry is at most the sum, so the entries are in [0, 1], and they sum
     # to 1 within ENTRY_EPS or, rescaled, within a few ulps
-    return _fill(object.__new__(JointTable), p11, p12, p21, p22, pair)
+    return JointTable._make(p11=p11, p12=p12, p21=p21, p22=p22, pair=pair)
 
 
 def _check_side(side: str, labels: object) -> None:
@@ -224,9 +219,9 @@ def _check_side(side: str, labels: object) -> None:
 
 
 class Experiment(Value):
-    """Four joint tables, one per setting pair in :data:`PAIR_ORDER`, plus
-    two sides of two distinct string labels each; both are stored as tuples,
-    whatever sequences they came in."""
+    """Four :class:`JointTable` values, one per setting pair in
+    :data:`PAIR_ORDER`, plus two sides of two distinct string labels each;
+    both are stored as tuples, whatever sequences they came in."""
 
     _fields = ("tables", "sides")
 
@@ -236,6 +231,8 @@ class Experiment(Value):
         sides: Sequence[Sequence[str]] = DEFAULT_SIDES,
     ) -> None:
         tables = tuple(tables)
+        if not all(isinstance(t, JointTable) for t in tables):
+            raise TableError(f"tables: expected JointTables, got {tables!r}")
         pairs = tuple(t.pair for t in tables)
         if pairs != PAIR_ORDER:
             raise TableError(
@@ -247,7 +244,7 @@ class Experiment(Value):
             raise TableError(f"sides: expected two sides, got {len(sides)}")
         _check_side("first", sides[0])
         _check_side("second", sides[1])
-        _set_experiment(self, tables, (tuple(sides[0]), tuple(sides[1])))
+        vars(self).update(tables=tables, sides=(tuple(sides[0]), tuple(sides[1])))
 
     @classmethod
     def from_tables(
@@ -265,13 +262,6 @@ class Experiment(Value):
             return self.tables[_POSITION[pair]]
         except KeyError:
             raise ValueError(f"{pair!r} is not a setting pair") from None
-
-
-def _set_experiment(experiment: Experiment, tables: tuple, sides: tuple) -> Experiment:
-    """Set the fields of ``experiment``: tables in :data:`PAIR_ORDER`, and two
-    tuples of side labels that pass :func:`_check_side`."""
-    vars(experiment).update(tables=tables, sides=sides)
-    return experiment
 
 
 def expectation_value(table: JointTable) -> float:

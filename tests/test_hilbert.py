@@ -493,6 +493,28 @@ class TestDeterminantCache:
                 assert [d.hex() for d in m._moduli[iso._pairing]] == [d.hex() for d in direct]
             assert sorted(m._moduli) == [1, 2, 3]
 
+    def test_product_vector_and_schmidt_read_the_same_determinant(self):
+        # the modulus the cache is checked against, computed directly, is the
+        # one is_product_vector compares with its tolerance and the one
+        # schmidt_coefficients puts in its closed form, bit for bit
+        for m in _determinant_cache_cases(1619):
+            for f in m.final_states:
+                a = f.amplitudes
+                for iso in ALL_ISOS:
+                    k00, k11, k01, k10 = iso._det_indices
+                    d = abs(a[k00] * a[k11] - a[k01] * a[k10])
+                    assert is_product_vector(f, iso, d)
+                    assert not is_product_vector(f, iso, math.nextafter(d, -math.inf))
+                    t = 0.0 + abs(a[k00]) ** 2 + abs(a[k01]) ** 2 + abs(a[k10]) ** 2
+                    t = t + abs(a[k11]) ** 2
+                    disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
+                    want = (
+                        math.sqrt(max((t + disc) / 2.0, 0.0)),
+                        math.sqrt(max((t - disc) / 2.0, 0.0)),
+                    )
+                    got = schmidt_coefficients(f, iso)
+                    assert [s.hex() for s in got] == [s.hex() for s in want]
+
     def test_flags_equal_the_product_vector_flags(self):
         tols = (EXACT_TOL, 0.0, 1e-3, 0.25, 0.5, -1.0, float("nan"))
         for m in _determinant_cache_cases(1617):

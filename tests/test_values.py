@@ -15,6 +15,7 @@ import re
 import pytest
 
 from bellbox.bell import Bounds, ChshResult, ZooClass
+from bellbox.expfile import read_experiment, write_experiment
 from bellbox.hilbert import (
     CANONICAL_ISO,
     COINCIDENCE_OUTCOMES,
@@ -27,7 +28,14 @@ from bellbox.hilbert import (
     verify_model,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
-from bellbox.models import Fixture, NamedModel
+from bellbox.models import (
+    ANIMAL_ACTS_OPERATORS,
+    Fixture,
+    NamedModel,
+    animal_acts_state,
+    vessels_data,
+    vessels_model,
+)
 from bellbox.report import Report
 from bellbox.tables import (
     DEFAULT_SIDES,
@@ -42,6 +50,7 @@ from bellbox.tables import (
     NotNormalizableError,
     SettingPair,
     TableError,
+    normalize,
 )
 
 AB, AB_PRIME = SettingPair.AB, SettingPair.AB_PRIME
@@ -393,6 +402,24 @@ class TestValueSemantics:
         assert all(f"{name}=" in text for name in case.base)
 
 
+def test_unchecked_builds_equal_checked_values(tmp_path):
+    # normalize and read_experiment skip the constructor checks they have
+    # already made; what they build must be the value the constructor builds
+    rows = ((0.049, 0.630, 0.259, 0.062), (0.5, 0.25, 0.125, 0.124), (0.0, 0.5, 0.5, 0.0),
+            (1.0, 0.0, 0.0, 0.0))
+    for row, pair in zip(rows, PAIR_ORDER):
+        made = normalize(row, pair)
+        checked = JointTable(*made.values, pair)
+        assert made == checked and hash(made) == hash(checked)
+        assert type(made) is JointTable and vars(made) == vars(checked)
+    path = tmp_path / "e.json"
+    write_experiment(path, Experiment(_tables(0.05), (("X", "X'"), ("Y", "Y'"))))
+    made = read_experiment(path)[0]
+    checked = Experiment(made.tables, made.sides)
+    assert made == checked and hash(made) == hash(checked)
+    assert type(made) is Experiment and vars(made) == vars(checked)
+
+
 def test_values_of_different_classes_are_unequal():
     assert StateVector(E0) != E0
     assert CVector(E0) != CMatrix(_matrix().rows)
@@ -509,6 +536,63 @@ class TestValidationMessages:
         with _raises(ValueError, "measurements: a construction needs measurements or operators"):
             NamedModel("m", _state(), None, None, "vessels", 1e-9)
 
+    def test_verify_model_needs_measurements(self):
+        with _raises(ValueError, "measurements: a construction needs measurements or operators"):
+            verify_model(_state(), None, _experiment(), 1e-9)
+
+    def test_construction_state_is_a_state_vector(self):
+        # a norm-2 vector is not a state: its Born table would be clamped to 1
+        vector = CVector([2, 0, 0, 0])
+        measurements = vessels_model().measurements
+        with _raises(ValueError, f"state: expected a StateVector, got {vector!r}"):
+            verify_model(vector, measurements, vessels_data().experiment, 1e-9)
+        vector = animal_acts_state().vector
+        operators = dict(ANIMAL_ACTS_OPERATORS)
+        with _raises(ValueError, f"state: expected a StateVector, got {vector!r}"):
+            NamedModel("m", vector, None, operators, "animal-acts", 0.03)
+
+    @pytest.mark.parametrize(
+        "entries", [[1, 2], (), "AB", 0], ids=["list", "tuple", "text", "int"]
+    )
+    def test_construction_entries_are_a_mapping(self, entries):
+        with _raises(ValueError, f"measurements: expected a mapping, got {entries!r}"):
+            verify_model(_state(), entries, _experiment(), 1e-9)
+        with _raises(ValueError, f"measurements: expected a mapping, got {entries!r}"):
+            NamedModel("m", _state(), entries, None, "vessels", 1e-9)
+        with _raises(ValueError, f"operators: expected a mapping, got {entries!r}"):
+            NamedModel("m", _state(), None, entries, "animal-acts", 0.03)
+
+    def test_verify_needs_an_isomorphism(self):
+        model = vessels_model()
+        with _raises(ValueError, "iso: expected an Isomorphism, got 'swapped'"):
+            model.verify(iso="swapped")
+        with _raises(ValueError, "iso: expected an Isomorphism, got None"):
+            verify_model(model.state, model.measurements, vessels_data().experiment, 1e-9, None)
+
+    def test_joint_table_pair(self):
+        with _raises(TableError, "pair must be a SettingPair, got 'AB'"):
+            JointTable(0.25, 0.25, 0.25, 0.25, "AB")
+
+    @pytest.mark.parametrize(
+        "entries,position",
+        [(("0.5", 0.5, 0.0, 0.0), 0), ((0.5, None, 0.5, 0.0), 1),
+         ((0.5, 0.0, 0.5j, 0.0), 2), ((0.5, 0.0, 0.5, b"0"), 3)],
+        ids=["string", "none", "complex", "bytes"],
+    )
+    def test_joint_table_entry_types(self, entries, position):
+        label, value = AB.outcome_labels[position], entries[position]
+        with _raises(TableError, f"entry {label} = {value!r} is not a probability"):
+            JointTable(*entries)
+
+    @pytest.mark.parametrize(
+        "tables",
+        [[1, 2, 3, 4], [_measurement(p) for p in PAIR_ORDER]],
+        ids=["ints", "measurements"],
+    )
+    def test_experiment_tables_are_joint_tables(self, tables):
+        with _raises(TableError, f"tables: expected JointTables, got {tuple(tables)!r}"):
+            Experiment(tables)
+
     def test_each_pair_has_its_own_measurement_or_operator(self):
         data = _experiment()
         missing = {p: _measurement(p) for p in PAIR_ORDER if p is not AB}
@@ -525,6 +609,13 @@ class TestValidationMessages:
                 operators[SettingPair.A_PRIME_B] = entry
             with _raises(ValueError, "operators.A'B: not a CMatrix"):
                 NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
+
+
+def test_isomorphism_list_input_is_stored_as_a_tuple():
+    from_list = Isomorphism("x", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    from_tuple = Isomorphism("x", ((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert type(from_list.cells) is tuple
 
 
 def test_measurement_list_input_is_stored_as_tuples():
