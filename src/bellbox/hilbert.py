@@ -33,21 +33,23 @@ four final states and outcomes and their orthonormality in
 (``models.NamedModel`` and :func:`verify_model`), in the one check
 :func:`_check_construction`: a :class:`StateVector`, and exactly one of
 measurements and operators, a mapping with one entry per setting pair,
-filed under it.  The kernels trust their arguments.  Each evaluates
-its sums in a fixed order with explicit loops, never with ``sum``, and
-gives the same floats, bit for bit, as the straightforward forms kept in
-``tests/oracles.py``.  Measurements are immutable and may be shared:
-``models`` builds each canonical-basis measurement once, and every vessel
-model reuses it.
+filed under it.  The kernels trust their arguments and compute from the
+tuples those values hold, building no value that is only read again.  Each
+evaluates its sums in a fixed order with explicit loops, never with
+``sum``, and gives the same floats, bit for bit, as the straightforward
+forms kept in ``tests/oracles.py``.  Measurements are immutable and may be
+shared: ``models`` builds each canonical-basis measurement once, and every
+vessel model reuses it.  Each :class:`Isomorphism` makes its realignment
+map once, which :func:`realign` and :func:`is_product_operator` read.
 
 A construction given by its measurements is predicted from their Born
-tables alone.  Its Bell value is the CHSH combination of the expectations
-sum x_k p_k (``bell._reference_combination``, which also builds each entry
-of :func:`bell_operator`), which equals <s|B|s> by linearity, and its
-Hermiticity residuals are 0.0: an operator in spectral form with real
-outcomes is Hermitian bit for bit, since entries (i, j) and (j, i) add the
-same products, conjugated.  So no operator matrix is built to verify it;
-:attr:`Measurement.operator` builds one on request.
+tables alone, as tuples.  Its Bell value is the CHSH combination of the
+expectations sum x_k p_k (``bell._reference_combination``, which also
+builds each entry of :func:`bell_operator`), which equals <s|B|s> by
+linearity, and its Hermiticity residuals are 0.0: an operator in spectral
+form with real outcomes is Hermitian bit for bit, since entries (i, j) and
+(j, i) add the same products, conjugated.  So no operator matrix is built
+to verify it; :attr:`Measurement.operator` builds one on request.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ COINCIDENCE_OUTCOMES = (1.0, -1.0, -1.0, 1.0)
 
 class Isomorphism(Value):
     """Assignment of each C^4 coordinate to a cell of a 2x2 array; the cells
-    are stored as a tuple, whatever sequence they came in."""
+    are stored as a tuple, whatever sequence they came in.  What the kernels
+    read of them (the determinant's coordinates, the pairing class and the
+    realignment map) is derived once, here; equality and hashing ignore it."""
 
     _fields = ("name", "cells")
 
@@ -99,6 +103,13 @@ class Isomorphism(Value):
         # the pairing class, named by the coordinate that shares a diagonal
         # with coordinate 0 (1, 2 or 3)
         object.__setattr__(self, "_pairing", {k00: k11, k11: k00, k01: k10, k10: k01}[0])
+        # the realignment map: entry (r, c) of R[(i,i'),(j,j')] = M[(i,j),(i',j')]
+        # is M[k][l], with k in cell (r // 2, c // 2) and l in cell (r % 2, c % 2)
+        at = {cell: k for k, cell in enumerate(cells)}
+        realignment = tuple([
+            tuple([(at[r // 2, c // 2], at[r % 2, c % 2]) for c in range(DIM)]) for r in range(DIM)
+        ])
+        object.__setattr__(self, "_realignment", realignment)
 
 
 #: Index k goes to cell (k // 2, k % 2).
@@ -227,15 +238,21 @@ class Measurement(Value):
         return operator_from_measurement(self)
 
 
-def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTable:
-    """Outcome probabilities |<final_k|state>|^2 as a joint table."""
-    s0, s1, s2, s3 = _vec(state).amplitudes
+def _born_probabilities(amplitudes: tuple, measurement: Measurement) -> tuple:
+    """|<final_k|state>|^2 for a state's ``amplitudes``, in cell order."""
+    s0, s1, s2, s3 = amplitudes
     probs = []
     for c0, c1, c2, c3 in measurement._conjugates:
         # |<final_k|state>|^2, with the additions of linalg.inner in its order
         p = abs(0j + c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3) ** 2
         # a squared modulus is never negative; rounding can exceed 1
         probs.append(p if p <= 1.0 else 1.0)
+    return tuple(probs)
+
+
+def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTable:
+    """Outcome probabilities |<final_k|state>|^2 as a joint table."""
+    probs = _born_probabilities(_vec(state).amplitudes, measurement)
     return JointTable(*probs, pair=measurement.pair)
 
 
@@ -301,16 +318,20 @@ def is_product_vector(
     return _det_modulus(_vec(v).amplitudes, iso) <= tol
 
 
+def _realigned(m: CMatrix, iso: Isomorphism) -> tuple[tuple[complex, ...], ...]:
+    """The rows of :func:`realign`, as tuples; a :class:`ValueError` names
+    ``m`` unless it is a :class:`CMatrix`."""
+    if not isinstance(m, CMatrix):
+        raise ValueError(f"m: expected a CMatrix, got {m!r}")
+    rows = m.rows
+    return tuple([tuple([rows[k][l] for k, l in line]) for line in iso._realignment])
+
+
 def realign(m: CMatrix, iso: Isomorphism = CANONICAL_ISO) -> CMatrix:
     """Index rearrangement whose rank-one property characterizes product
-    operators: R[(i,i'),(j,j')] = M[(i,j),(i',j')] in iso coordinates."""
-    rows = [[0j] * DIM for _ in range(DIM)]
-    for k in range(DIM):
-        rk, ck = iso.cells[k]
-        for l in range(DIM):  # noqa: E741 - paired index with k
-            rl, cl = iso.cells[l]
-            rows[2 * rk + rl][2 * ck + cl] = m[k][l]
-    return CMatrix(rows)
+    operators: R[(i,i'),(j,j')] = M[(i,j),(i',j')] in iso coordinates, read
+    through the realignment map of ``iso``."""
+    return CMatrix(_realigned(m, iso))
 
 
 def is_product_operator(
@@ -319,7 +340,7 @@ def is_product_operator(
     """True when ``m`` equals some A (x) B under ``iso``: every 2x2 minor
     of the realignment vanishes within ``tol``.  The scan stops at the
     first minor that does not, so a NaN or negative ``tol`` fails closed."""
-    r = realign(m, iso).rows
+    r = _realigned(m, iso)
     for r1 in range(DIM):
         for r2 in range(r1 + 1, DIM):
             for c1 in range(DIM):
@@ -423,11 +444,12 @@ def predict_model(
     forms <s|E|s> and the measured Hermiticity residuals.  Its callers
     have passed the construction through :func:`_check_construction`."""
     if measurements is not None:
+        amplitudes = state.vector.amplitudes
         predicted = {}
         expectations = {}
         for pair in PAIR_ORDER:
             measurement = measurements[pair]
-            predicted[pair] = probabilities = born_probabilities(state, measurement).values
+            predicted[pair] = probabilities = _born_probabilities(amplitudes, measurement)
             p0, p1, p2, p3 = probabilities
             x0, x1, x2, x3 = measurement.outcomes
             expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3

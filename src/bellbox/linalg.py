@@ -58,9 +58,6 @@ class CVector(Value):
     def scaled(self, factor: complex) -> CVector:
         return CVector(factor * z for z in self.amplitudes)
 
-    def __add__(self, other: CVector) -> CVector:
-        return CVector(a + b for a, b in zip(self.amplitudes, other.amplitudes))
-
 
 CANONICAL_BASIS = tuple(
     CVector([1 if i == k else 0 for i in range(DIM)]) for k in range(DIM)

@@ -47,7 +47,7 @@ from .hilbert import (
     predict_model,
     verify_predictions,
 )
-from .linalg import CANONICAL_BASIS, CMatrix, CVector, inner
+from .linalg import CANONICAL_BASIS, CMatrix, CVector
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
@@ -349,15 +349,19 @@ def basis_from_probabilities(
     returned basis vectors are -c H |k>, so every overlap <e_k|state>
     comes out real and nonnegative, equal to sqrt(target_k): the phase
     convention that makes the construction deterministic.
+    Only the four basis vectors are built as :class:`CVector`; the rest is
+    computed from plain complex tuples, in the order of the vector forms kept
+    in ``tests/oracles.py``, and the basis gets :class:`Measurement`'s full
+    Gram check.
     """
     entries = tuple(targets)
     # float parses text, so text is refused before it
     if isinstance(targets, (str, bytes)) or any(isinstance(x, (str, bytes)) for x in entries):
         raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
-    vals = tuple(float(x) for x in entries)
+    vals = tuple(map(float, entries))
     if len(vals) != 4:
         raise ValueError(f"expected 4 target probabilities, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise ValueError(f"target probabilities must be finite: {vals}")
     if any(v < -ENTRY_EPS for v in vals):
         raise ValueError(f"target probabilities must be nonnegative: {vals}")
@@ -366,22 +370,24 @@ def basis_from_probabilities(
     if abs(total - 1.0) > EXACT_TOL:
         raise ValueError(f"target probabilities sum to {total!r}, not 1")
 
-    s = state.vector
-    t = CVector([math.sqrt(max(v, 0.0)) for v in vals])
-    overlap = inner(t, s)
+    s0, s1, s2, s3 = s = state.vector.amplitudes
+    t0, t1, t2, t3 = t = [complex(math.sqrt(max(v, 0.0))) for v in vals]
+    # <t|s>, with the additions of linalg.inner in its order
+    overlap = (
+        0j + t0.conjugate() * s0 + t1.conjugate() * s1 + t2.conjugate() * s2 + t3.conjugate() * s3
+    )
     c = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0 + 0j
-    w = s + t.scaled(c)
-    w0, w1, w2, w3 = w.amplitudes
+    w0, w1, w2, w3 = w = [s[i] + c * t[i] for i in range(4)]
     # = 2 + 2|<t|s>| >= 2
     wnorm2 = 0.0 + abs(w0) ** 2 + abs(w1) ** 2 + abs(w2) ** 2 + abs(w3) ** 2
 
+    minus_c = -c
     basis = []
     for k in range(4):
-        column = [
-            (1.0 if i == k else 0.0) - 2.0 * w[i] * w[k].conjugate() / wnorm2
-            for i in range(4)
-        ]
-        basis.append(CVector(column).scaled(-c))
+        wk = w[k].conjugate()
+        basis.append(CVector([
+            minus_c * ((1.0 if i == k else 0.0) - 2.0 * w[i] * wk / wnorm2) for i in range(4)
+        ]))
     return Measurement(pair, tuple(basis))
 
 

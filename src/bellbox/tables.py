@@ -145,13 +145,14 @@ class JointTable(Value):
     ) -> None:
         if not isinstance(pair, SettingPair):
             raise TableError(f"pair must be a SettingPair, got {pair!r}")
+        total = 0.0
         try:
             for label, value in zip(pair.outcome_labels, (p11, p12, p21, p22)):
                 if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
                     raise TableError(f"entry {label} = {value!r} is not a probability")
-        except TypeError:  # the entry does not compare with a float
+                total = total + value
+        except TypeError:  # the entry does not compare with, or add to, a float
             raise TableError(f"entry {label} = {value!r} is not a probability") from None
-        total = 0.0 + p11 + p12 + p21 + p22
         if not abs(total - 1.0) <= _SUM_TOL:
             raise NotNormalizableError(
                 f"table {pair.label} sums to {total!r}, too far from 1"
@@ -177,8 +178,11 @@ def normalize(
     Raises :class:`NegativeEntryError` for negative entries and
     :class:`NotNormalizableError` when the raw sum misses 1 by more than
     ``tol`` (always when ``tol`` is NaN), or is 0 or overflows, which only a
-    ``tol`` of 1 or more lets through.
+    ``tol`` of 1 or more lets through.  A ``pair`` that is not a
+    :class:`SettingPair` raises a :class:`TableError`, as in the constructor.
     """
+    if not isinstance(pair, SettingPair):
+        raise TableError(f"pair must be a SettingPair, got {pair!r}")
     vals = tuple(map(float, values))
     if len(vals) != 4:
         raise TableError(f"expected 4 probabilities, got {len(vals)}")

@@ -266,6 +266,37 @@ def reference_born_probabilities(state, final_states) -> tuple[float, ...]:
     return tuple(min(max(abs(reference_inner(f, state)) ** 2, 0.0), 1.0) for f in final_states)
 
 
+def reference_realign(rows, cells) -> list[list[complex]]:
+    """R[(i,i'),(j,j')] = M[(i,j),(i',j')] by the cell loop: entry (k, l)
+    goes to row 2 i + i' and column 2 j + j', where k sits in cell (i, j)
+    and l in cell (i', j')."""
+    out = [[0j] * 4 for _ in range(4)]
+    for k, (rk, ck) in enumerate(cells):
+        for l, (rl, cl) in enumerate(cells):  # noqa: E741 - paired index with k
+            out[2 * rk + rl][2 * ck + cl] = rows[k][l]
+    return out
+
+
+def reference_basis_from_probabilities(state: CVector, targets) -> list[CVector]:
+    """The final states of ``basis_from_probabilities`` in the vector form:
+    t = CVector(sqrt(targets)), c the phase of <t|s>, w = s + t.scaled(c),
+    and final state k = CVector(column k of I - 2 w w* / |w|^2).scaled(-c)."""
+    t = CVector([math.sqrt(max(float(x), 0.0)) for x in targets])
+    overlap = reference_inner(t.amplitudes, state.amplitudes)
+    c = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0 + 0j
+    w = CVector([a + b for a, b in zip(state.amplitudes, t.scaled(c).amplitudes)])
+    wnorm2 = 0.0
+    for z in w:
+        wnorm2 += abs(z) ** 2
+    basis = []
+    for k in range(4):
+        column = [
+            (1.0 if i == k else 0.0) - 2.0 * w[i] * w[k].conjugate() / wnorm2 for i in range(4)
+        ]
+        basis.append(CVector(column).scaled(-c))
+    return basis
+
+
 def reference_reshape(
     amplitudes, cells
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:

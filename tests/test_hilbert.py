@@ -613,12 +613,13 @@ class TestVerifyModel:
 
     def test_measurements_build_their_operators_once(self, count_calls):
         # a synthesized model is verified from its Born tables alone: each
-        # verify_model call takes four, and no operator is built
+        # verify_model call takes four, from the Born kernel, and no
+        # operator is built
         calls = {
             name: count_calls(hilbert, name)
             for name in (
                 "operator_from_measurement",
-                "born_probabilities",
+                "_born_probabilities",
                 "hermiticity_residual",
                 "bell_operator",
             )
@@ -634,7 +635,7 @@ class TestVerifyModel:
         counts = {name: c[0] for name, c in calls.items()}
         assert counts == {
             "operator_from_measurement": 0,
-            "born_probabilities": 8,
+            "_born_probabilities": 8,
             "hermiticity_residual": 0,
             "bell_operator": 0,
         }

@@ -1,13 +1,14 @@
 """The Hilbert-space kernels agree bit for bit with their reference forms.
 
-Each kernel in ``linalg`` and ``hilbert`` does the same float operations
-in the same order as its straightforward form in ``oracles``, so every
-result is compared by ``float.hex``.  Decisions against a tolerance (the
+Each kernel in ``linalg``, ``hilbert`` and ``models`` does the same float
+operations in the same order as its straightforward form in ``oracles``,
+so every result is compared by ``float.hex``.  Decisions against a tolerance (the
 product test, the orthonormality check) are compared at the reference
 value itself and at the next float below it, which pins the value the
 kernel decided on exactly.
 """
 
+import itertools
 import math
 import random
 
@@ -23,24 +24,36 @@ from bellbox.hilbert import (
     StateVector,
     bell_operator,
     born_probabilities,
+    is_product_operator,
     is_product_vector,
     operator_from_measurement,
+    realign,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector, apply, hermiticity_residual
-from bellbox.models import basis_from_probabilities, vessels_alternative_model, vessels_model
+from bellbox.models import (
+    ANIMAL_ACTS_OPERATORS,
+    basis_from_probabilities,
+    vessels_alternative_model,
+    vessels_model,
+)
 from bellbox.tables import PAIR_ORDER, SettingPair
 
 from oracles import (
     np_random_orthonormal_basis,
+    product_operator,
+    random_2x2_matrix,
     random_product_vector,
     random_unit_cvector,
     reference_apply,
+    reference_basis_from_probabilities,
     reference_block_det,
     reference_bell_operator,
     reference_born_probabilities,
     reference_hermiticity_residual,
+    reference_inner,
     reference_operator_from_measurement,
     reference_overlaps,
+    reference_realign,
 )
 
 #: Both shipped isomorphisms, and one that is not a transpose of the
@@ -49,6 +62,12 @@ ISOS = (
     CANONICAL_ISO,
     SWAPPED_ISO,
     Isomorphism("crossed", ((0, 0), (1, 1), (0, 1), (1, 0))),
+)
+
+#: All 24 bijections from the four coordinates to the four cells.
+ALL_ISOS = tuple(
+    Isomorphism(f"bijection-{n}", cells)
+    for n, cells in enumerate(itertools.permutations(((0, 0), (0, 1), (1, 0), (1, 1))))
 )
 
 SQ = math.sqrt(0.5)
@@ -161,6 +180,34 @@ class TestMeasurement:
                 assert [x.hex() for x in got] == [x.hex() for x in want]
                 assert born_probabilities(StateVector(v), m).values == got
 
+    def test_born_probabilities_are_clamped_at_one(self):
+        # |<f|f>|^2 of a unit final state can round above 1; the kernel
+        # gives 1.0 there, as the reference does
+        rng = random.Random(28)
+        clamped = 0
+        for _ in range(20):
+            basis = np_random_orthonormal_basis(rng)
+            m = Measurement(SettingPair.AB, basis)
+            for f in basis:
+                want = reference_born_probabilities(f.amplitudes, [g.amplitudes for g in basis])
+                got = hilbert._born_probabilities(f.amplitudes, m)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                clamped += abs(reference_inner(f.amplitudes, f.amplitudes)) ** 2 > 1.0
+        assert clamped
+
+    def test_born_kernel_is_the_joint_table(self):
+        # predict_model reads the kernel's tuple; born_probabilities wraps
+        # the same floats in a JointTable
+        states = _unit_vectors(26)
+        for basis in _bases(27):
+            m = Measurement(SettingPair.AB_PRIME, basis)
+            for v in states:
+                got = hilbert._born_probabilities(v.amplitudes, m)
+                assert type(got) is tuple
+                assert [x.hex() for x in got] == [
+                    x.hex() for x in born_probabilities(v, m).values
+                ]
+
     @pytest.mark.parametrize(
         "outcomes",
         [COINCIDENCE_OUTCOMES, (1, -1, -1, 1), (2, 0, -3, 5), (0.3, -1.7, 1e-300, 2.5), (1e300,) * 4],
@@ -174,6 +221,78 @@ class TestMeasurement:
                 want = reference_operator_from_measurement(xs, [f.amplitudes for f in basis])
                 got = operator_from_measurement(Measurement(SettingPair.AB, basis, xs))
                 assert _hex_rows(got.rows) == _hex_rows(want)
+
+
+def _synthesis_cases(seed: int) -> list[tuple[CVector, tuple[float, ...]]]:
+    """States with zero and signed-zero amplitudes against targets with
+    zeros (signed ones too), a state orthogonal to its target vector among
+    them."""
+    rng = random.Random(seed)
+    targets = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.5, -0.0, 0.5, 0.0), (0.25,) * 4]
+    for zeros in (0, 1, 2, 3, 0, 1, 2):
+        raw = [rng.random() for _ in range(4)]
+        for k in rng.sample(range(4), zeros):
+            raw[k] = rng.choice((0.0, -0.0))
+        total = 0.0 + raw[0] + raw[1] + raw[2] + raw[3]
+        targets.append(tuple(x / total for x in raw))
+    return [(v, t) for v in _unit_vectors(seed) for t in targets]
+
+
+class TestBasisSynthesis:
+    def test_matches_the_vector_form(self):
+        for v, targets in _synthesis_cases(41):
+            got = basis_from_probabilities(StateVector(v), targets, SettingPair.A_PRIME_B)
+            want = reference_basis_from_probabilities(v, targets)
+            assert got.pair is SettingPair.A_PRIME_B
+            assert _hex_rows(got.final_states) == _hex_rows(want)
+
+
+def _realignment_matrices(seed: int) -> list[CMatrix]:
+    """Random, spectral and signed-zero matrices, the quoted animal-acts
+    operators, and product operators under each bijection."""
+    rng = random.Random(seed)
+    matrices = _matrices(seed) + list(ANIMAL_ACTS_OPERATORS.values())
+    matrices.append(CMatrix([[complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+                              for _ in range(4)] for _ in range(4)]))
+    matrices += [
+        product_operator(random_2x2_matrix(rng), random_2x2_matrix(rng), iso.cells)
+        for iso in ALL_ISOS
+    ]
+    return matrices
+
+
+def _minor_moduli(rows) -> list[float]:
+    """|r11 r22 - r12 r21| of every 2x2 minor, in the scan's order."""
+    return [
+        abs(rows[r1][c1] * rows[r2][c2] - rows[r1][c2] * rows[r2][c1])
+        for r1 in range(4)
+        for r2 in range(r1 + 1, 4)
+        for c1 in range(4)
+        for c2 in range(c1 + 1, 4)
+    ]
+
+
+class TestRealignment:
+    """``realign`` and ``is_product_operator`` read the map each
+    isomorphism makes; they must agree with the cell loop under all 24."""
+
+    @pytest.mark.parametrize("iso", ALL_ISOS, ids=lambda iso: iso.name)
+    def test_realign_matches_the_cell_loop(self, iso):
+        for m in _realignment_matrices(51):
+            want = reference_realign(m.rows, iso.cells)
+            assert _hex_rows(realign(m, iso).rows) == _hex_rows(want)
+
+    @pytest.mark.parametrize("iso", ALL_ISOS, ids=lambda iso: iso.name)
+    def test_is_product_operator_decides_on_the_reference_minors(self, iso):
+        decided = set()
+        for m in _realignment_matrices(52):
+            minors = _minor_moduli(reference_realign(m.rows, iso.cells))
+            worst = max(minors)
+            for tol in (worst, math.nextafter(worst, -math.inf), 0.05, 1e-9, -1.0, math.nan):
+                want = all(d <= tol for d in minors)
+                assert is_product_operator(m, iso, tol) is want
+                decided.add(want)
+        assert decided == {True, False}
 
 
 class TestOperators:

@@ -11,6 +11,7 @@ import inspect
 import math
 import pickle
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -25,6 +26,8 @@ from bellbox.hilbert import (
     ModelPredictions,
     ModelVerdict,
     StateVector,
+    is_product_operator,
+    realign,
     verify_model,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
@@ -572,6 +575,30 @@ class TestValidationMessages:
     def test_joint_table_pair(self):
         with _raises(TableError, "pair must be a SettingPair, got 'AB'"):
             JointTable(0.25, 0.25, 0.25, 0.25, "AB")
+
+    @pytest.mark.parametrize("pair", ["AB", None], ids=["label", "none"])
+    def test_normalize_pair(self, pair):
+        with _raises(TableError, f"pair must be a SettingPair, got {pair!r}"):
+            normalize((0.5, 0.5, 0, 0), pair)
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_joint_table_entry_that_does_not_add(self, position):
+        # a Decimal compares with a float, so it passes the range check, but
+        # does not add to one
+        entries = [0.5, 0.5, 0.0, 0.0]
+        entries[position] = Decimal(entries[position])
+        label = AB.outcome_labels[position]
+        with _raises(TableError, f"entry {label} = {entries[position]!r} is not a probability"):
+            JointTable(*entries)
+
+    @pytest.mark.parametrize(
+        "m", [[[1, 0, 0, 0]] * 4, _matrix().rows, None], ids=["lists", "rows", "none"]
+    )
+    def test_realignment_needs_a_matrix(self, m):
+        with _raises(ValueError, f"m: expected a CMatrix, got {m!r}"):
+            realign(m)
+        with _raises(ValueError, f"m: expected a CMatrix, got {m!r}"):
+            is_product_operator(m, SWAPPED_ISO)
 
     @pytest.mark.parametrize(
         "entries,position",
