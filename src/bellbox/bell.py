@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
 from .tables import (
     CLASS_TOL,

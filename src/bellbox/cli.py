@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .expfile import ExperimentFileError, read_experiment, write_experiment
 from .hilbert import ISOMORPHISMS

@@ -36,10 +36,10 @@ nothing downstream checks them again.  Each rejection is an
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import NUMBER_RE
-from pathlib import Path
-from typing import Any, Mapping
 
 from .tables import (
     DEFAULT_NORM_TOL,
@@ -58,7 +58,7 @@ class ExperimentFileError(ValueError):
     the offending location (line/column for syntax, field path otherwise)."""
 
 
-def _fail(path: str | Path, where: str, problem: str) -> "ExperimentFileError":
+def _fail(path: str | os.PathLike[str], where: str, problem: str) -> "ExperimentFileError":
     return ExperimentFileError(f"{path}: {where}: {problem}")
 
 
@@ -72,7 +72,7 @@ class _DuplicateKey(Exception):
     """Raised by ``_DECODER`` at the first object that repeats a key."""
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         raise _DuplicateKey
@@ -83,7 +83,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _parse(text: str) -> tuple[Any, bool]:
+def _parse(text: str) -> tuple[object, bool]:
     """The JSON document in ``text``, and whether any of its objects repeats
     a key; each such object is parsed as a :class:`_RepeatedKeys`.
 
@@ -99,7 +99,7 @@ def _parse(text: str) -> tuple[Any, bool]:
             pass
     repeats = []
 
-    def parse_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    def parse_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
         obj = dict(pairs)
         if len(obj) < len(pairs):
             keys = [key for key, _value in pairs]
@@ -144,7 +144,7 @@ _JSON_NUMBER = NUMBER_RE.fullmatch
 _RAW, _REAL, _REPR = "\0", "\1", "\2"
 
 
-def _layout(skeleton: Any, indent: str = "") -> str:
+def _layout(skeleton: object, indent: str = "") -> str:
     """``json.dumps(skeleton, indent=2)``, each line after the first led by
     ``indent``, as a ``%`` layout: each ``_RAW`` in ``skeleton`` becomes
     ``%s``, to be filled with JSON text, each ``_REAL`` ``"%.6f"`` and each
@@ -166,9 +166,9 @@ _FILE_LAYOUT = _layout(
 
 
 def write_experiment(
-    path: str | Path,
+    path: str | os.PathLike[str],
     experiment: Experiment,
-    metadata: Mapping[str, Any] | None = None,
+    metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Write ``experiment`` and ``metadata`` to ``path`` as ``json.dumps(...,
     indent=2)`` writes the document, each probability as its float's ``repr``.
@@ -176,7 +176,8 @@ def write_experiment(
     that would not read back as written and metadata that would
     repeat a key raise :class:`ExperimentFileError`, and metadata that
     ``json.dumps`` cannot encode raises what it raises, before the file is
-    opened."""
+    opened.  ``path``, a ``str`` or path-like (an int is a :class:`TypeError`,
+    not a file descriptor), is written as ``Path.write_text`` writes."""
     sides = experiment.sides
     for side, labels in zip(("first", "second"), sides):
         # JSON reads a surrogate pair written as two lone surrogates as one character
@@ -189,12 +190,13 @@ def write_experiment(
         raise _fail(path, where, f"duplicate key {key!r}")
     values = [value for table in experiment.tables for value in table.values]
     text = _FILE_LAYOUT % (*map(_quote, sides[0] + sides[1]), *values, meta)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(os.fspath(path), "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def read_experiment(
-    path: str | Path, normalize_tol: float = DEFAULT_NORM_TOL
-) -> tuple[Experiment, dict[str, Any]]:
+    path: str | os.PathLike[str], normalize_tol: float = DEFAULT_NORM_TOL
+) -> tuple[Experiment, dict[str, object]]:
     """Parse an experiment file; returns the experiment and its metadata.
 
     Checks, in order: JSON without repeated keys; the version, the integer

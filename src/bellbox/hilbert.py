@@ -58,7 +58,6 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Union
 
 from ._value import Value
 from .linalg import (
@@ -79,8 +78,10 @@ COINCIDENCE_OUTCOMES = (1.0, -1.0, -1.0, 1.0)
 
 
 class Isomorphism(Value):
-    """Assignment of each C^4 coordinate to a cell of a 2x2 array; the cells
-    are stored as a tuple, whatever sequence they came in.  What the kernels
+    """Assignment of each C^4 coordinate to a cell of a 2x2 array; the cells,
+    and each cell, are stored as tuples, whatever sequences they came in.
+    Cells that are not a bijection onto {0,1}^2, or that do not convert or
+    compare, raise a :class:`ValueError` naming ``cells``.  What the kernels
     read of them (the determinant's coordinates, the pairing class and the
     realignment map) is derived once, here; equality and hashing ignore it."""
 
@@ -91,8 +92,12 @@ class Isomorphism(Value):
         name: str,
         cells: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]],
     ) -> None:
-        cells = tuple(cells)
-        if sorted(cells) != [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        try:
+            cells = tuple([tuple(cell) for cell in cells])
+            bijection = sorted(cells) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        except (TypeError, ValueError):
+            bijection = False
+        if not bijection:
             raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {cells}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "cells", cells)
@@ -142,10 +147,7 @@ class StateVector(Value):
         return cls(vec)
 
 
-VectorLike = Union[CVector, StateVector]
-
-
-def _vec(v: VectorLike) -> CVector:
+def _vec(v: CVector | StateVector) -> CVector:
     return v.vector if isinstance(v, StateVector) else v
 
 
@@ -250,7 +252,7 @@ def _born_probabilities(amplitudes: tuple, measurement: Measurement) -> tuple:
     return tuple(probs)
 
 
-def born_probabilities(state: VectorLike, measurement: Measurement) -> JointTable:
+def born_probabilities(state: CVector | StateVector, measurement: Measurement) -> JointTable:
     """Outcome probabilities |<final_k|state>|^2 as a joint table."""
     probs = _born_probabilities(_vec(state).amplitudes, measurement)
     return JointTable(*probs, pair=measurement.pair)
@@ -292,7 +294,7 @@ def _det_modulus(amplitudes: tuple[complex, ...], iso: Isomorphism) -> float:
 
 
 def schmidt_coefficients(
-    v: VectorLike, iso: Isomorphism = CANONICAL_ISO
+    v: CVector | StateVector, iso: Isomorphism = CANONICAL_ISO
 ) -> tuple[float, float]:
     """Singular values of the reshaped vector, in nonincreasing order.
 
@@ -311,7 +313,7 @@ def schmidt_coefficients(
 
 
 def is_product_vector(
-    v: VectorLike, iso: Isomorphism = CANONICAL_ISO, tol: float = EXACT_TOL
+    v: CVector | StateVector, iso: Isomorphism = CANONICAL_ISO, tol: float = EXACT_TOL
 ) -> bool:
     """True when the vector is a tensor product under ``iso`` (the reshaped
     2x2 array has vanishing determinant)."""
@@ -483,9 +485,12 @@ def verify_predictions(
     operators compares expectation values with the tables' and flags
     operators that are not products.  Entanglement of measurements and
     operators is decided at ``product_tol``, of the state at
-    :data:`tables.EXACT_TOL`.  An ``iso`` that is not an
-    :class:`Isomorphism` raises a :class:`ValueError` naming ``iso``.
+    :data:`tables.EXACT_TOL`.  ``data`` that is not an :class:`Experiment`
+    (a ``Fixture``, say) or an ``iso`` that is not an :class:`Isomorphism`
+    raises a :class:`ValueError` naming the argument.
     """
+    if not isinstance(data, Experiment):
+        raise ValueError(f"data: expected an Experiment, got {data!r}")
     if not isinstance(iso, Isomorphism):
         raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
     measurements = predictions.measurements

@@ -5,7 +5,10 @@ types are fixed-size: plain tuples of Python ``complex``, no numerics
 library.  This is where amplitudes and entries are validated: each
 :class:`CVector` and :class:`CMatrix` converts its input with ``complex``
 and checks shape and finiteness once, on construction, and no function
-here or in ``hilbert`` checks them again.  :class:`CVector` carries the
+here or in ``hilbert`` checks them again.  A ``str`` or ``bytes`` given as
+a whole vector or as a row is a :class:`ValueError`: iterated, it would
+give one entry per character or byte.  Each entry is converted as given,
+so ``"1"`` or ``"1+2j"`` is an amplitude.  :class:`CVector` carries the
 operations the state and basis constructions use; :class:`CMatrix` is a
 4x4 with indexing, built in one pass by its callers.  The functions are
 the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner`,
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._value import Value
 
@@ -34,6 +37,8 @@ class CVector(Value):
     _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
+        if isinstance(amplitudes, (str, bytes)):
+            raise ValueError(f"expected {DIM} amplitudes, got text {amplitudes!r}")
         amps = tuple(map(complex, amplitudes))
         if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
             raise ValueError(f"expected {DIM} finite amplitudes, got {amps}")
@@ -70,12 +75,16 @@ class CMatrix(Value):
     _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
-        mat = tuple([tuple(map(complex, row)) for row in rows])
+        mat = []
+        for row in rows:
+            if isinstance(row, (str, bytes)):
+                raise ValueError(f"expected a row of {DIM} entries, got text {row!r}")
+            mat.append(tuple(map(complex, row)))
         if len(mat) != DIM or any(
             len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
         ):
             raise ValueError(f"expected a {DIM}x{DIM} matrix of finite entries")
-        object.__setattr__(self, "rows", mat)
+        object.__setattr__(self, "rows", tuple(mat))
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:
         return self.rows[i]

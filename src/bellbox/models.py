@@ -31,8 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from collections.abc import Callable, Mapping
 from functools import cache, cached_property
-from typing import Callable, Mapping
 
 from ._value import Value
 from .bell import ZooClass
@@ -352,8 +352,11 @@ def basis_from_probabilities(
     Only the four basis vectors are built as :class:`CVector`; the rest is
     computed from plain complex tuples, in the order of the vector forms kept
     in ``tests/oracles.py``, and the basis gets :class:`Measurement`'s full
-    Gram check.
+    Gram check.  The reflection needs a unit state: anything but a
+    :class:`StateVector` is a :class:`ValueError` naming ``state``.
     """
+    if not isinstance(state, StateVector):
+        raise ValueError(f"state: expected a StateVector, got {state!r}")
     entries = tuple(targets)
     # float parses text, so text is refused before it
     if isinstance(targets, (str, bytes)) or any(isinstance(x, (str, bytes)) for x in entries):

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from enum import Enum
-from typing import Mapping, Sequence
 
 from ._value import Value
 

@@ -6,14 +6,28 @@ its wall time.  ``dataclasses`` pulls in ``inspect`` (and with it ``ast``,
 ``exec``; the value types are defined without it.  Nor does importing
 bellbox compile code or regular expressions of its own.  Each check runs in
 a fresh interpreter, against what a bare one has already loaded.
+
+Annotations name types only: under ``from __future__ import annotations``
+they are never evaluated, so no module imports ``typing`` or ``pathlib`` for
+them.  That is checked under ``python -S``, because a ``site`` that already
+imports ``typing`` (a ``.pth`` file can) would hide an import made by
+bellbox.  The experiment file is written with ``open``, in the bytes that
+``Path.write_text`` writes.
 """
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from bellbox.expfile import write_experiment
+from bellbox.models import vessels_data
+from bellbox.tables import Experiment
+
+from oracles import reference_file_document
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -77,3 +91,40 @@ def test_import_compiles_no_code_and_no_regex():
         text=True,
     ).stdout
     assert out.split() == ["0", "0"]
+
+
+#: Imports ``bellbox.cli`` without ``site``, from the ``src`` directory
+#: given as its argument, and prints the modules then loaded.
+NO_SITE_PROBE = f"import sys; sys.path.insert(0, sys.argv[1]); import bellbox.cli; {LIST_MODULES}"
+
+
+def test_import_without_site_loads_neither_typing_nor_pathlib():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", NO_SITE_PROBE, str(SRC)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    loaded = set(out.split())
+    assert "bellbox.cli" in loaded and "site" not in loaded
+    assert {"typing", "pathlib"} & loaded == set()
+
+
+@pytest.mark.parametrize("as_text", [False, True], ids=["path", "str"])
+def test_written_bytes_are_those_of_path_write_text(tmp_path, as_text):
+    experiment = Experiment(vessels_data().experiment.tables, (("\u00c4", "A'"), ("B", "B'")))
+    metadata = {"notes": "first line\nsecond line", "source": "\u00c4nimal \u2013 acts"}
+    written = tmp_path / "written.json"
+    write_experiment(str(written) if as_text else written, experiment, metadata)
+    text = json.dumps(reference_file_document(experiment, metadata), indent=2) + "\n"
+    reference = tmp_path / "reference.json"
+    reference.write_text(text, encoding="utf-8")
+    assert written.read_bytes() == reference.read_bytes()
+
+
+def test_writer_refuses_an_int_path():
+    # open would take the int for a file descriptor (this one is not open)
+    with pytest.raises(TypeError):
+        write_experiment(987654, vessels_data().experiment)

@@ -29,13 +29,17 @@ from bellbox.hilbert import (
     is_product_operator,
     realign,
     verify_model,
+    verify_predictions,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
 from bellbox.models import (
     ANIMAL_ACTS_OPERATORS,
     Fixture,
     NamedModel,
+    animal_acts_data,
+    animal_acts_model,
     animal_acts_state,
+    basis_from_probabilities,
     vessels_data,
     vessels_model,
 )
@@ -637,12 +641,79 @@ class TestValidationMessages:
             with _raises(ValueError, "operators.A'B: not a CMatrix"):
                 NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
 
+    @pytest.mark.parametrize("text", ["1000", b"1000"], ids=["str", "bytes"])
+    def test_vector_text(self, text):
+        # iterated, "1000" read as (1, 0, 0, 0) and b"1000" as (49, 48, 48, 48)
+        with _raises(ValueError, f"expected 4 amplitudes, got text {text!r}"):
+            CVector(text)
+        with _raises(ValueError, f"expected 4 amplitudes, got text {text!r}"):
+            StateVector.of(text)
+
+    @pytest.mark.parametrize(
+        "rows,row",
+        [(["1000", "0100", "0010", "0001"], "1000"),
+         ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], b"0001"], b"0001")],
+        ids=["str", "bytes"],
+    )
+    def test_matrix_row_text(self, rows, row):
+        with _raises(ValueError, f"expected a row of 4 entries, got text {row!r}"):
+            CMatrix(rows)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [((0, 0), (0, 1), (1, 0), None), ((0, 0), (0, 1), (1, 0), "11"),
+         ((0, 0), (0, 1), (1, 0), 1), ((0, 0), (0, 1), (1, 0), (1,)), None],
+        ids=["none-cell", "text-cell", "int-cell", "short-cell", "none"],
+    )
+    def test_isomorphism_cells_that_do_not_convert_or_compare(self, cells):
+        with pytest.raises(ValueError, match=r"^cells must be a bijection onto \{0,1\}\^2: "):
+            Isomorphism("x", cells)
+
+    @pytest.mark.parametrize(
+        "state", [_state().vector, [1, 0, 0, 0], None], ids=["cvector", "list", "none"]
+    )
+    def test_basis_synthesis_needs_a_state_vector(self, state):
+        with _raises(ValueError, f"state: expected a StateVector, got {state!r}"):
+            basis_from_probabilities(state, (0.25,) * 4)
+
+    @pytest.mark.parametrize(
+        "model,fixture",
+        [(vessels_model, vessels_data), (animal_acts_model, animal_acts_data)],
+        ids=["measurements", "operators"],
+    )
+    def test_verify_needs_an_experiment(self, model, fixture):
+        model, data = model(), fixture()
+        message = f"data: expected an Experiment, got {data!r}"
+        with _raises(ValueError, message):
+            model.verify(data)
+        with _raises(ValueError, message):
+            verify_predictions(model.predictions, data, model.tolerance)
+        if model.measurements is not None:
+            with _raises(ValueError, message):
+                verify_model(model.state, model.measurements, data, model.tolerance)
+
 
 def test_isomorphism_list_input_is_stored_as_a_tuple():
     from_list = Isomorphism("x", [(0, 0), (0, 1), (1, 0), (1, 1)])
     from_tuple = Isomorphism("x", ((0, 0), (0, 1), (1, 0), (1, 1)))
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
     assert type(from_list.cells) is tuple
+
+
+def test_isomorphism_list_cells_are_stored_as_tuples():
+    cells = ((0, 0), (1, 1), (0, 1), (1, 0))
+    from_lists = Isomorphism("x", [list(cell) for cell in cells])
+    from_tuples = Isomorphism("x", cells)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists.cells == cells and all(type(cell) is tuple for cell in from_lists.cells)
+    for name in ("_det_indices", "_pairing", "_realignment"):
+        assert getattr(from_lists, name) == getattr(from_tuples, name)
+
+
+def test_vector_entries_keep_their_complex_conversion():
+    assert CVector(["1", "0", "0", "0"]) == CVector([1, 0, 0, 0])
+    rows = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, "1", 0], [0, 0, 0, "1+0j"]]
+    assert CMatrix(rows) == _matrix()
 
 
 def test_measurement_list_input_is_stored_as_tuples():
