@@ -16,10 +16,10 @@ A violation beyond the Tsirelson bound with intact marginals falls
 outside these classes and raises :class:`AmbiguousClassError` rather
 than guessing.
 
-The CHSH sign convention is :data:`REFERENCE_SIGNS`.  :func:`chsh` scores
-it first among its variants, and :func:`_reference_combination` applies it
-to a construction's per-pair values: ``hilbert`` takes a model's Bell
-value and each entry of the Bell operator from it.
+The CHSH sign convention is :data:`REFERENCE_SIGNS`, and
+:func:`_reference_combination` is the one place it is applied: :func:`chsh`
+takes an experiment's reference combination from it, and ``hilbert`` a
+model's Bell value and each entry of the Bell operator.
 """
 
 from __future__ import annotations
@@ -118,40 +118,31 @@ _PATTERNS = tuple(
     )
 )
 
-#: The pattern of :data:`REFERENCE_SIGNS`, one of those in ``_PATTERNS``.
-_REFERENCE = next(
-    signs
-    for signs, _flipped in _PATTERNS
-    if signs == tuple(REFERENCE_SIGNS[pair] for pair in CHSH_TERM_ORDER)
-)
-
 
 def chsh(experiment: Experiment) -> ChshResult:
     """CHSH value of ``experiment``.
 
-    The single minus sign cycles over the four terms in ``PAIR_ORDER``; the
-    pattern equal to :data:`REFERENCE_SIGNS` (the first, minus on AB) gives
-    the reference combination.  A global sign flip never changes the
-    absolute value, so each pattern is scored by |sum|.  Each sum adds its
-    signed terms left to right, from 0.0.
+    The reference combination is :func:`_reference_combination` of the
+    expectations.  The single minus sign cycles over the four terms in
+    ``PAIR_ORDER``.  A global sign flip never changes the absolute value,
+    so each pattern is scored by |sum|.  Each sum adds its signed terms left
+    to right, from 0.0.
     """
     tables = experiment.tables
     e0, e1, e2, e3 = terms = [expectation_value(tables[i]) for i in _TERM_POSITIONS]
-    reference = 0.0
     best_abs = -1.0
     best_signs: tuple[int, ...] = ()
     for signs, flipped in _PATTERNS:
         s0, s1, s2, s3 = signs
         total = 0.0 + s0 * e0 + s1 * e1 + s2 * e2 + s3 * e3
-        if signs is _REFERENCE:
-            reference = total
         if abs(total) > best_abs:
             best_abs = abs(total)
             # fold in the global flip so the pattern scores +|total|
             best_signs = flipped if total < 0 else signs
+    expectations = dict(zip(CHSH_TERM_ORDER, terms))
     return ChshResult(
-        dict(zip(CHSH_TERM_ORDER, terms)),
-        reference,
+        expectations,
+        _reference_combination(expectations),
         best_abs,
         dict(zip(CHSH_TERM_ORDER, best_signs)),
     )

@@ -204,9 +204,12 @@ def read_experiment(
     makes, not made again); the settings; per table, each outcome label
     with a decimal string, no other label, and the row by
     :func:`tables.normalize` within ``normalize_tol``; the metadata object.
+    ``path`` is a ``str``, ``bytes`` or path-like; an int is a
+    :class:`TypeError`, not a file descriptor, raised before anything is
+    opened.
     """
     try:
-        with open(path, "rb", buffering=0) as file:
+        with open(os.fspath(path), "rb", buffering=0) as file:
             text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentFileError(f"{path}: cannot read file: {exc}") from exc

@@ -29,20 +29,21 @@ the two are in one pairing class.
 Validation happens once, where a value is built: amplitudes and entries in
 ``linalg``, the unit norm in :class:`StateVector`, the setting pair, the
 four final states and outcomes and their orthonormality in
-:class:`Measurement`, and a construction where it enters
-(``models.NamedModel`` and :func:`verify_model`), in the one check
-:func:`_check_construction`: a :class:`StateVector`, and exactly one of
-measurements and operators, a mapping with one entry per setting pair,
-filed under it.  The kernels trust their arguments and compute from the
-tuples those values hold, building no value that is only read again.  Each
-evaluates its sums in a fixed order with explicit loops, never with
-``sum``, and gives the same floats, bit for bit, as the straightforward
-forms kept in ``tests/oracles.py``.  Measurements are immutable and may be
+:class:`Measurement`, and a construction in :class:`Construction`, which
+``models.NamedModel`` extends and :func:`verify_model` builds: a
+:class:`StateVector`, and exactly one of measurements and operators, a
+mapping with one entry per setting pair, filed under it.  The kernels
+trust their arguments and compute from the tuples those values hold,
+building no value that is only read again.  Each evaluates its sums in a
+fixed order with explicit loops, never with ``sum``, and gives the same
+floats, bit for bit, as the straightforward forms kept in
+``tests/oracles.py``.  Measurements are immutable and may be
 shared: ``models`` builds each canonical-basis measurement once, and every
 vessel model reuses it.  Each :class:`Isomorphism` makes its realignment
 map once, which :func:`realign` and :func:`is_product_operator` read.
 
-A construction given by its measurements is predicted from their Born
+A :class:`Construction` owns its check, its predictions and its
+verification.  One given by its measurements is predicted from their Born
 tables alone, as tuples.  Its Bell value is the CHSH combination of the
 expectations sum x_k p_k (``bell._reference_combination``, which also
 builds each entry of :func:`bell_operator`), which equals <s|B|s> by
@@ -62,6 +63,7 @@ from functools import cached_property
 from ._value import Value
 from .linalg import (
     DIM,
+    TEXT_TYPES,
     CMatrix,
     CVector,
     hermiticity_residual,
@@ -162,8 +164,8 @@ class Measurement(Value):
 
     Everything is validated here, once: a :class:`tables.SettingPair`;
     exactly four :class:`CVector` final states, orthonormal within
-    :data:`tables.EXACT_TOL`; four outcomes, none of them text, that
-    ``float`` turns into finite reals.
+    :data:`tables.EXACT_TOL`; four outcomes, none of them text or a byte
+    buffer (:data:`linalg.TEXT_TYPES`), that ``float`` turns into finite reals.
     Each field is stored as a tuple (outcomes as ``float``), so a
     measurement built from lists equals and hashes like one built from
     tuples, and each rejection is a :class:`ValueError` that names its
@@ -191,11 +193,13 @@ class Measurement(Value):
         final_states = tuple(final_states)
         if len(final_states) != 4 or not all(isinstance(f, CVector) for f in final_states):
             raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
-        try:
-            # float parses text, so text is dropped and the count fails
-            values = tuple([float(x) for x in outcomes if not isinstance(x, (str, bytes))])
-        except (TypeError, ValueError):
-            values = ()
+        values = ()
+        if not isinstance(outcomes, TEXT_TYPES):  # bytes iterate as their values
+            try:
+                # float parses text and byte buffers, so they are dropped and the count fails
+                values = tuple([float(x) for x in outcomes if not isinstance(x, TEXT_TYPES)])
+            except (TypeError, ValueError):
+                pass
         if len(values) != 4 or not all(map(math.isfinite, values)):
             raise ValueError(f"outcomes must be 4 finite real numbers, got {outcomes!r}")
         amplitudes = [f.amplitudes for f in final_states]
@@ -389,139 +393,136 @@ determine final states).  ``tolerance`` decided ``passed`` and ``iso``
 the entanglement flags.
 """
 
-ModelPredictions = namedtuple(
-    "ModelPredictions", "state measurements operators predicted hermiticity_residuals bell_value"
-)
+ModelPredictions = namedtuple("ModelPredictions", "predicted hermiticity_residuals bell_value")
 ModelPredictions.__doc__ = """What a construction predicts, whatever the data and the isomorphism.
 
-A construction has either ``measurements`` or ``operators``; the other is
-``None``.  ``predicted`` holds per setting pair the Born probabilities in
-cell order (a construction with ``measurements``) or the expectation value
-<s|E|s> (one known only through ``operators``).  ``bell_value`` is the
-CHSH combination of the per-pair expectations: a float from the Born
-tables, or the complex sum of the quadratic forms <s|E|s>.
+``predicted`` holds per setting pair the Born probabilities in cell order
+(a construction with ``measurements``) or the expectation value <s|E|s>
+(one known only through ``operators``).  ``bell_value`` is the CHSH
+combination of the per-pair expectations: a float from the Born tables,
+or the complex sum of the quadratic forms <s|E|s>.
 """
 
 
-def _check_construction(
-    state: StateVector,
-    measurements: Mapping[SettingPair, Measurement] | None,
-    operators: Mapping[SettingPair, CMatrix] | None,
-) -> None:
-    """Raise a :class:`ValueError` naming the field unless ``state`` is a
-    :class:`StateVector` and exactly one of ``measurements`` and
-    ``operators`` is given, as a mapping; or naming the first setting pair,
-    such as ``measurements.AB``, whose entry is not a Measurement of that
-    pair (or not a CMatrix in ``operators``)."""
-    if not isinstance(state, StateVector):
-        raise ValueError(f"state: expected a StateVector, got {state!r}")
-    if measurements is not None and operators is not None:
-        raise ValueError("operators: must be None when measurements are given")
-    if measurements is None and operators is None:
-        raise ValueError("measurements: a construction needs measurements or operators")
-    if measurements is not None:
-        if not isinstance(measurements, Mapping):
-            raise ValueError(f"measurements: expected a mapping, got {measurements!r}")
-        for pair in PAIR_ORDER:
-            measurement = measurements.get(pair)
-            if not isinstance(measurement, Measurement) or measurement.pair is not pair:
-                raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
-    else:
-        if not isinstance(operators, Mapping):
-            raise ValueError(f"operators: expected a mapping, got {operators!r}")
-        for pair in PAIR_ORDER:
-            if not isinstance(operators.get(pair), CMatrix):
-                raise ValueError(f"operators.{pair.label}: not a CMatrix")
+class Construction(Value):
+    """A state with a measurement, or an operator, for each setting pair.
 
-
-def predict_model(
-    state: StateVector,
-    measurements: Mapping[SettingPair, Measurement] | None,
-    operators: Mapping[SettingPair, CMatrix] | None,
-) -> ModelPredictions:
-    """The :class:`ModelPredictions` of a construction given by exactly one
-    of ``measurements`` and ``operators``: from the four Born tables (each
-    pair's expectation is 0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its
-    outcomes x, each Hermiticity residual 0.0), or from the quadratic
-    forms <s|E|s> and the measured Hermiticity residuals.  Its callers
-    have passed the construction through :func:`_check_construction`."""
-    if measurements is not None:
-        amplitudes = state.vector.amplitudes
-        predicted = {}
-        expectations = {}
-        for pair in PAIR_ORDER:
-            measurement = measurements[pair]
-            predicted[pair] = probabilities = _born_probabilities(amplitudes, measurement)
-            p0, p1, p2, p3 = probabilities
-            x0, x1, x2, x3 = measurement.outcomes
-            expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
-        hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
-    else:
-        expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
-        predicted = {p: z.real for p, z in expectations.items()}
-        hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
-    return ModelPredictions(
-        state=state,
-        measurements=measurements,
-        operators=operators,
-        predicted=predicted,
-        hermiticity_residuals=hermiticity,
-        bell_value=_reference_combination(expectations),
-    )
-
-
-def verify_predictions(
-    predictions: ModelPredictions,
-    data: Experiment,
-    tol: float,
-    iso: Isomorphism = CANONICAL_ISO,
-    product_tol: float = EXACT_TOL,
-) -> ModelVerdict:
-    """Compare a construction's predictions with the data tables and flag
-    its entanglement under ``iso``.
-
-    A construction with measurements compares Born probabilities with the
-    tables and flags entangled final states; one known only through its
-    operators compares expectation values with the tables' and flags
-    operators that are not products.  Entanglement of measurements and
-    operators is decided at ``product_tol``, of the state at
-    :data:`tables.EXACT_TOL`.  ``data`` that is not an :class:`Experiment`
-    (a ``Fixture``, say) or an ``iso`` that is not an :class:`Isomorphism`
-    raises a :class:`ValueError` naming the argument.
+    Exactly one of ``measurements`` and ``operators`` is given, as a
+    mapping; the other is ``None``.  A :class:`ValueError` naming the field
+    refuses a ``state`` that is not a :class:`StateVector`, both or neither
+    of them, or one that is not a mapping; one naming the first setting
+    pair, such as ``measurements.AB``, refuses an entry that is not a
+    Measurement of that pair (or not a CMatrix in ``operators``).
+    ``product_tol`` decides when a measurement or operator counts as
+    entangled.  The construction is immutable, so its :attr:`predictions`,
+    which depend on neither the data nor the isomorphism, are computed on
+    first use and kept: each :meth:`verify` call adds only the comparison
+    with the data and the entanglement flags of its isomorphism.
     """
-    if not isinstance(data, Experiment):
-        raise ValueError(f"data: expected an Experiment, got {data!r}")
-    if not isinstance(iso, Isomorphism):
-        raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
-    measurements = predictions.measurements
-    residuals = {}
-    entangled = {}
-    for pair in PAIR_ORDER:
-        observed = data.table(pair)
-        predicted = predictions.predicted[pair]
+
+    _fields = ("state", "measurements", "operators", "product_tol")
+
+    def __init__(
+        self,
+        state: StateVector,
+        measurements: Mapping[SettingPair, Measurement] | None,
+        operators: Mapping[SettingPair, CMatrix] | None = None,
+        product_tol: float = EXACT_TOL,
+    ) -> None:
+        if not isinstance(state, StateVector):
+            raise ValueError(f"state: expected a StateVector, got {state!r}")
+        if measurements is not None and operators is not None:
+            raise ValueError("operators: must be None when measurements are given")
+        if measurements is None and operators is None:
+            raise ValueError("measurements: a construction needs measurements or operators")
         if measurements is not None:
-            p0, p1, p2, p3 = predicted
-            o0, o1, o2, o3 = observed.values
-            residuals[pair] = max(abs(p0 - o0), abs(p1 - o1), abs(p2 - o2), abs(p3 - o3))
-            entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
+            if not isinstance(measurements, Mapping):
+                raise ValueError(f"measurements: expected a mapping, got {measurements!r}")
+            for pair in PAIR_ORDER:
+                measurement = measurements.get(pair)
+                if not isinstance(measurement, Measurement) or measurement.pair is not pair:
+                    raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
         else:
-            residuals[pair] = abs(predicted - expectation_value(observed))
-            entangled[pair] = not is_product_operator(
-                predictions.operators[pair], iso, product_tol
-            )
-    bell_value = predictions.bell_value
-    return ModelVerdict(
-        residual_kind="probabilities" if measurements is not None else "expectations",
-        residuals=residuals,
-        measurement_entangled=entangled,
-        state_entangled=not is_product_vector(predictions.state, iso),
-        hermiticity_residuals=dict(predictions.hermiticity_residuals),
-        chsh_from_model=bell_value.real,
-        chsh_imag_residual=abs(bell_value.imag),
-        tolerance=tol,
-        iso=iso,
-        passed=all(r <= tol for r in residuals.values()),
-    )
+            if not isinstance(operators, Mapping):
+                raise ValueError(f"operators: expected a mapping, got {operators!r}")
+            for pair in PAIR_ORDER:
+                if not isinstance(operators.get(pair), CMatrix):
+                    raise ValueError(f"operators.{pair.label}: not a CMatrix")
+        vars(self).update(
+            state=state, measurements=measurements, operators=operators, product_tol=product_tol
+        )
+
+    @cached_property
+    def predictions(self) -> ModelPredictions:
+        """From the four Born tables (each pair's expectation is
+        0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its outcomes x, each
+        Hermiticity residual 0.0), or from the quadratic forms <s|E|s> and
+        the measured Hermiticity residuals."""
+        measurements, operators, state = self.measurements, self.operators, self.state
+        if measurements is not None:
+            amplitudes = state.vector.amplitudes
+            predicted = {}
+            expectations = {}
+            for pair in PAIR_ORDER:
+                measurement = measurements[pair]
+                predicted[pair] = probabilities = _born_probabilities(amplitudes, measurement)
+                p0, p1, p2, p3 = probabilities
+                x0, x1, x2, x3 = measurement.outcomes
+                expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
+            hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
+        else:
+            expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
+            predicted = {p: z.real for p, z in expectations.items()}
+            hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
+        return ModelPredictions(predicted, hermiticity, _reference_combination(expectations))
+
+    def verify(
+        self, data: Experiment, tol: float, iso: Isomorphism = CANONICAL_ISO
+    ) -> ModelVerdict:
+        """Compare the predictions with the data tables and flag the
+        entanglement under ``iso``.
+
+        With measurements, Born probabilities are compared with the tables
+        and entangled final states flagged; with operators only, expectation
+        values are compared with the tables' and operators that are not
+        products flagged.  Entanglement of measurements and operators is
+        decided at ``product_tol``, of the state at :data:`tables.EXACT_TOL`.
+        ``data`` that is not an :class:`Experiment` (a ``Fixture``, say) or
+        an ``iso`` that is not an :class:`Isomorphism` raises a
+        :class:`ValueError` naming the argument.
+        """
+        if not isinstance(data, Experiment):
+            raise ValueError(f"data: expected an Experiment, got {data!r}")
+        if not isinstance(iso, Isomorphism):
+            raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
+        measurements, product_tol = self.measurements, self.product_tol
+        predictions = self.predictions
+        residuals = {}
+        entangled = {}
+        for pair in PAIR_ORDER:
+            observed = data.table(pair)
+            predicted = predictions.predicted[pair]
+            if measurements is not None:
+                p0, p1, p2, p3 = predicted
+                o0, o1, o2, o3 = observed.values
+                residuals[pair] = max(abs(p0 - o0), abs(p1 - o1), abs(p2 - o2), abs(p3 - o3))
+                entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
+            else:
+                residuals[pair] = abs(predicted - expectation_value(observed))
+                entangled[pair] = not is_product_operator(self.operators[pair], iso, product_tol)
+        bell_value = predictions.bell_value
+        return ModelVerdict(
+            residual_kind="probabilities" if measurements is not None else "expectations",
+            residuals=residuals,
+            measurement_entangled=entangled,
+            state_entangled=not is_product_vector(self.state, iso),
+            hermiticity_residuals=dict(predictions.hermiticity_residuals),
+            chsh_from_model=bell_value.real,
+            chsh_imag_residual=abs(bell_value.imag),
+            tolerance=tol,
+            iso=iso,
+            passed=all(r <= tol for r in residuals.values()),
+        )
 
 
 def verify_model(
@@ -532,9 +533,7 @@ def verify_model(
     iso: Isomorphism = CANONICAL_ISO,
 ) -> ModelVerdict:
     """Check a construction given by its state and measurements against
-    the data tables: :func:`predict_model`, then :func:`verify_predictions`.
-    Entangled final states are decided at :data:`tables.EXACT_TOL`.  No
-    operator matrix is built.  See :func:`_check_construction` for the
-    errors."""
-    _check_construction(state, measurements, None)
-    return verify_predictions(predict_model(state, measurements, None), data, tol, iso)
+    the data tables: :meth:`Construction.verify`, with entangled final
+    states decided at :data:`tables.EXACT_TOL`.  No operator matrix is
+    built.  See :class:`Construction` for the errors."""
+    return Construction(state, measurements).verify(data, tol, iso)

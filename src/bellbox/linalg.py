@@ -5,9 +5,10 @@ types are fixed-size: plain tuples of Python ``complex``, no numerics
 library.  This is where amplitudes and entries are validated: each
 :class:`CVector` and :class:`CMatrix` converts its input with ``complex``
 and checks shape and finiteness once, on construction, and no function
-here or in ``hilbert`` checks them again.  A ``str`` or ``bytes`` given as
-a whole vector or as a row is a :class:`ValueError`: iterated, it would
-give one entry per character or byte.  Each entry is converted as given,
+here or in ``hilbert`` checks them again.  Text or a byte buffer
+(:data:`TEXT_TYPES`) given as a whole vector, as the rows or as a row is a
+:class:`ValueError`: iterated, it would give one entry per character or
+byte.  So is a row that is not iterable.  Each entry is converted as given,
 so ``"1"`` or ``"1+2j"`` is an amplitude.  :class:`CVector` carries the
 operations the state and basis constructions use; :class:`CMatrix` is a
 4x4 with indexing, built in one pass by its callers.  The functions are
@@ -30,6 +31,10 @@ from ._value import Value
 
 DIM = 4
 
+#: Text and byte buffers: iterated they give characters or bytes, and
+#: ``float`` parses them, so wherever numbers are expected they are refused.
+TEXT_TYPES = (str, bytes, bytearray, memoryview)
+
 
 class CVector(Value):
     """Four complex amplitudes, in ``amplitudes``."""
@@ -37,7 +42,7 @@ class CVector(Value):
     _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
-        if isinstance(amplitudes, (str, bytes)):
+        if isinstance(amplitudes, TEXT_TYPES):
             raise ValueError(f"expected {DIM} amplitudes, got text {amplitudes!r}")
         amps = tuple(map(complex, amplitudes))
         if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
@@ -75,11 +80,17 @@ class CMatrix(Value):
     _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
+        if isinstance(rows, TEXT_TYPES):
+            raise ValueError(f"expected {DIM} rows, got text {rows!r}")
         mat = []
         for row in rows:
-            if isinstance(row, (str, bytes)):
+            if isinstance(row, TEXT_TYPES):
                 raise ValueError(f"expected a row of {DIM} entries, got text {row!r}")
-            mat.append(tuple(map(complex, row)))
+            try:
+                entries = iter(row)
+            except TypeError:
+                raise ValueError(f"expected a row of {DIM} entries, got {row!r}") from None
+            mat.append(tuple(map(complex, entries)))
         if len(mat) != DIM or any(
             len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
         ):

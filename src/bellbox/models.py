@@ -13,7 +13,9 @@ Three datasets ship with the toolkit:
   removed, which drops the CHSH combination back to the classical bound.
 
 Each dataset that admits one comes with an explicit C^4 construction:
-a state plus four measurements reproducing its probabilities.  The two
+a state plus four measurements (or operators) reproducing its
+probabilities, as a :class:`NamedModel`, the ``hilbert.Construction``
+with its name, its dataset, its tolerance and its phases.  The two
 vessel constructions differ in where the entanglement sits (state vs.
 measurements), which is the point of keeping both.  Their canonical
 product-basis measurements do not depend on the phases, so each is built
@@ -34,20 +36,16 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping
 from functools import cache, cached_property
 
-from ._value import Value
 from .bell import ZooClass
 from .hilbert import (
     CANONICAL_ISO,
+    Construction,
     Isomorphism,
     Measurement,
-    ModelPredictions,
     ModelVerdict,
     StateVector,
-    _check_construction,
-    predict_model,
-    verify_predictions,
 )
-from .linalg import CANONICAL_BASIS, CMatrix, CVector
+from .linalg import CANONICAL_BASIS, TEXT_TYPES, CMatrix, CVector
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
@@ -66,27 +64,20 @@ Fixture = namedtuple("Fixture", "name experiment expected_chsh chsh_tol expected
 Fixture.__doc__ = """A named reference experiment with its expected analysis results."""
 
 
-class NamedModel(Value):
-    """A named Hilbert-space construction paired with a reference fixture.
+class NamedModel(Construction):
+    """A named :class:`hilbert.Construction` paired with a reference fixture.
 
-    A construction is given by exactly one of ``measurements`` and
-    ``operators``; the other is ``None``, and a :class:`ValueError` naming
-    the field refuses both or neither, or a missing or wrong entry (see
-    :func:`hilbert._check_construction`).  ``measurements`` holds labeled
-    final-state bases when the construction provides them, and it is
-    verified from their Born tables.  The animal-acts model is known only
-    through its operator matrices (their +-1 spectra are degenerate, so
-    final states cannot be recovered), so verification compares
-    expectation values instead of Born distributions.  ``product_tol``
-    decides when a measurement or operator counts as entangled.  ``alpha``
-    and ``beta`` are the phases the construction was built with (0 for one
-    that has none).
+    ``measurements`` holds labeled final-state bases when the construction
+    provides them, and it is verified from their Born tables.  The
+    animal-acts model is known only through its operator matrices (their
+    +-1 spectra are degenerate, so final states cannot be recovered), so
+    verification compares expectation values instead of Born
+    distributions.  ``alpha`` and ``beta`` are the phases the construction
+    was built with (0 for one that has none).
 
-    The model is immutable, so what does not depend on the data or the
-    isomorphism (:attr:`predictions`) and its own reference data are
-    computed on first use and kept: each :meth:`verify` call adds only
-    the comparison with the data and the entanglement flags of its
-    isomorphism.
+    Its own reference data, like its predictions, is built on first use
+    and kept: :meth:`verify` checks against it when given no data, and
+    with the model's ``tolerance`` when given none.
     """
 
     _fields = (
@@ -106,20 +97,10 @@ class NamedModel(Value):
         alpha: float = 0.0,
         beta: float = 0.0,
     ) -> None:
-        _check_construction(state, measurements, operators)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "measurements", measurements)
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "fixture_name", fixture_name)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "product_tol", product_tol)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @cached_property
-    def predictions(self) -> ModelPredictions:
-        return predict_model(self.state, self.measurements, self.operators)
+        super().__init__(state, measurements, operators, product_tol)
+        vars(self).update(
+            name=name, fixture_name=fixture_name, tolerance=tolerance, alpha=alpha, beta=beta
+        )
 
     @cached_property
     def _fixture_experiment(self) -> Experiment:
@@ -135,7 +116,7 @@ class NamedModel(Value):
             data = self._fixture_experiment
         if tol is None:
             tol = self.tolerance
-        return verify_predictions(self.predictions, data, tol, iso, self.product_tol)
+        return super().verify(data, tol, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +339,8 @@ def basis_from_probabilities(
     if not isinstance(state, StateVector):
         raise ValueError(f"state: expected a StateVector, got {state!r}")
     entries = tuple(targets)
-    # float parses text, so text is refused before it
-    if isinstance(targets, (str, bytes)) or any(isinstance(x, (str, bytes)) for x in entries):
+    # float parses text and byte buffers, so they are refused before it
+    if isinstance(targets, TEXT_TYPES) or any(isinstance(x, TEXT_TYPES) for x in entries):
         raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
     vals = tuple(map(float, entries))
     if len(vals) != 4:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -326,3 +327,16 @@ def test_all_zero_row_under_a_loose_tolerance_names_the_table(tmp_path):
     with pytest.raises(ExperimentFileError) as info:
         read_experiment(path, normalize_tol=1.0)
     assert str(info.value) == f"{path}: tables.A'B: table A'B sums to 0.0; it cannot be rescaled"
+
+
+def test_reader_refuses_an_int_path():
+    # open would take the int for a file descriptor, read from it and close it
+    r, w = os.pipe()
+    try:
+        os.write(w, b'{"version": 2}')
+        os.close(w)
+        with pytest.raises(TypeError):
+            read_experiment(r)
+        os.fstat(r)  # still open
+    finally:
+        os.close(r)

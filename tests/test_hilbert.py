@@ -668,8 +668,7 @@ class TestBellValueFromBornTables:
 
     def test_chsh_from_model_matches_the_bell_operator_and_numpy(self):
         for state, measurements, operators, data in _constructions(2025):
-            predictions = hilbert.predict_model(state, measurements, operators)
-            verdict = hilbert.verify_predictions(predictions, data, 1e-9)
+            verdict = hilbert.Construction(state, measurements, operators).verify(data, 1e-9)
             if operators is None:
                 operators = {p: m.operator for p, m in measurements.items()}
             via_bell = quadratic_form(bell_operator(operators), state.vector).real
@@ -700,6 +699,18 @@ def _vessels_pass(tol):
     return verify_model(model.state, model.measurements, vessels_data().experiment, tol).passed
 
 
+def _construction_products(tol):
+    # product measurements and product operators, flagged at product_tol
+    state, data = StateVector(CANONICAL_BASIS[0]), vessels_data().experiment
+    measurements = {p: Measurement(p, CANONICAL_BASIS) for p in PAIR_ORDER}
+    operators = {p: CMatrix(np.eye(4)) for p in PAIR_ORDER}
+    constructions = (
+        hilbert.Construction(state, measurements, None, tol),
+        hilbert.Construction(state, None, operators, tol),
+    )
+    return not any(any(c.verify(data, 1.0).measurement_entangled.values()) for c in constructions)
+
+
 #: Each check on an input that it accepts at EXACT_TOL.
 ACCEPTS_WITHIN = {
     "normalize": _normalizes,
@@ -715,6 +726,7 @@ ACCEPTS_WITHIN = {
     ),
     "is_product_operator": lambda tol: is_product_operator(CMatrix(np.eye(4)), tol=tol),
     "verify_model": _vessels_pass,
+    "Construction.product_tol": _construction_products,
 }
 
 

@@ -440,6 +440,36 @@ class TestVerifyOnce:
         assert model.predictions.hermiticity_residuals[SettingPair.AB] != 99.0
 
 
+@pytest.mark.parametrize("iso", ISOS, ids=lambda iso: iso.name)
+def test_every_way_to_verify_gives_the_same_verdict(iso):
+    # verify_model builds a Construction, and NamedModel is one: the three
+    # entry points make one check and give one verdict, bit for bit
+    rng = random.Random(2323)
+    cases = []
+    for name in ("animal-acts", "vessels", "vessels-alt"):
+        for alpha, beta in ((0.0, -0.0), (0.7, -0.3)):
+            model = get_model(name, alpha, beta)
+            cases.append((model, get_fixture(model.fixture_name).experiment))
+    for _ in range(10):
+        state = StateVector(random_unit_cvector(rng))
+        data = Experiment.from_tables({pair: random_table(rng, pair) for pair in PAIR_ORDER})
+        measurements = {
+            pair: basis_from_probabilities(state, data.table(pair).values, pair)
+            for pair in PAIR_ORDER
+        }
+        cases.append((models.NamedModel("s", state, measurements, None, "vessels", 1e-9), data))
+    for model, data in cases:
+        construction = hilbert.Construction(
+            model.state, model.measurements, model.operators, model.product_tol
+        )
+        verdicts = [model.verify(data, iso=iso), construction.verify(data, model.tolerance, iso)]
+        if model.measurements is not None:
+            verdicts.append(
+                verify_model(model.state, model.measurements, data, model.tolerance, iso)
+            )
+        assert len({_verdict_hex(v) for v in verdicts}) == 1, model.name
+
+
 class TestBasisFromProbabilities:
     def test_state_already_canonical(self):
         state = StateVector(CVector([1, 0, 0, 0]))
@@ -499,8 +529,11 @@ class TestBasisFromProbabilities:
 
     @pytest.mark.parametrize(
         "targets",
-        ["1000", b"1000", ("0.1", "0.2", "0.3", "0.4"), (0.1, 0.2, b"0.3", 0.4)],
-        ids=["str", "bytes", "str-entries", "bytes-entry"],
+        ["1000", b"1000", ("0.1", "0.2", "0.3", "0.4"), (0.1, 0.2, b"0.3", 0.4),
+         bytearray(b"\x01\x00\x00\x00"), memoryview(b"\x01\x00\x00\x00"),
+         (bytearray(b"0.25"),) * 4, (0.25, 0.25, memoryview(b"0.25"), 0.25)],
+        ids=["str", "bytes", "str-entries", "bytes-entry", "bytearray", "memoryview",
+             "bytearray-entries", "memoryview-entry"],
     )
     def test_text_targets_refused(self, targets):
         # float parses text, so text would pass for probabilities

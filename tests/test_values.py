@@ -21,6 +21,7 @@ from bellbox.hilbert import (
     CANONICAL_ISO,
     COINCIDENCE_OUTCOMES,
     SWAPPED_ISO,
+    Construction,
     Isomorphism,
     Measurement,
     ModelPredictions,
@@ -29,7 +30,6 @@ from bellbox.hilbert import (
     is_product_operator,
     realign,
     verify_model,
-    verify_predictions,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
 from bellbox.models import (
@@ -82,6 +82,10 @@ def _measurement(pair=AB):
 
 def _matrix(scale=1.0):
     return CMatrix([[scale if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+#: one object, so that the refused row and the message show the same repr
+_MEMORYVIEW_ROW = memoryview(b"0100")
 
 
 class Case:
@@ -164,6 +168,38 @@ CASES = [
     # a construction has exactly one of measurements and operators: the
     # basis-backed case changes only its measurements, the operator-only
     # case only its operators
+    Case(
+        Construction,
+        {
+            "state": _state,
+            "measurements": lambda: {p: _measurement(p) for p in PAIR_ORDER},
+            "operators": None,
+            "product_tol": EXACT_TOL,
+        },
+        {
+            "state": lambda: _state(1),
+            "measurements": lambda: {
+                p: Measurement(p, (E1, E0, E2, E3)) for p in PAIR_ORDER
+            },
+            "product_tol": 0.05,
+        },
+        defaults={"operators": None, "product_tol": EXACT_TOL},
+        hashable=False,
+        name="Construction-measurements",
+    ),
+    Case(
+        Construction,
+        {
+            "state": _state,
+            "measurements": None,
+            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
+            "product_tol": 0.05,
+        },
+        {"operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER}},
+        defaults={"product_tol": EXACT_TOL},
+        hashable=False,
+        name="Construction-operators",
+    ),
     Case(
         NamedModel,
         {
@@ -293,17 +329,11 @@ CASES = [
     Case(
         ModelPredictions,
         {
-            "state": _state,
-            "measurements": None,
-            "operators": lambda: {p: _matrix() for p in PAIR_ORDER},
             "predicted": lambda: {p: 1.0 for p in PAIR_ORDER},
             "hermiticity_residuals": lambda: {p: 0.0 for p in PAIR_ORDER},
             "bell_value": 2 + 0j,
         },
         {
-            "state": lambda: _state(1),
-            "measurements": lambda: {p: _measurement(p) for p in PAIR_ORDER},
-            "operators": lambda: {p: _matrix(2.0) for p in PAIR_ORDER},
             "predicted": lambda: {p: (0.25, 0.25, 0.25, 0.25) for p in PAIR_ORDER},
             "hermiticity_residuals": lambda: {p: 0.5 for p in PAIR_ORDER},
             "bell_value": 4 + 1j,
@@ -351,7 +381,8 @@ CASES = [
 
 
 def test_every_former_dataclass_is_covered():
-    assert len({case.cls for case in CASES}) == 18
+    # Construction is the one value class that was never a dataclass
+    assert len({case.cls for case in CASES} - {Construction}) == 18
 
 
 @pytest.mark.parametrize("case", CASES, ids=repr)
@@ -527,9 +558,12 @@ class TestValidationMessages:
         "outcomes",
         [(1.0, -1.0, -1.0), (1.0, -1.0, -1.0, 1.0, 1.0), (1.0, -1.0, -1.0, math.inf),
          (math.nan, -1.0, -1.0, 1.0), (1.0, "a", -1.0, 1.0), (1.0, -1.0, 1j, 1.0),
-         (1.0, -1.0, None, 1.0), (), "1111", ("1", "-1", "-1", "1"), (1.0, -1.0, b"-1", 1.0)],
+         (1.0, -1.0, None, 1.0), (), "1111", ("1", "-1", "-1", "1"), (1.0, -1.0, b"-1", 1.0),
+         (1.0, -1.0, bytearray(b"-1"), 1.0), (1.0, -1.0, memoryview(b"-1"), 1.0),
+         b"1111", bytearray(b"1111"), memoryview(b"1111")],
         ids=["three", "five", "inf", "nan", "string", "complex", "none", "empty", "text",
-             "numeric-strings", "bytes"],
+             "numeric-strings", "bytes", "bytearray", "memoryview", "whole-bytes",
+             "whole-bytearray", "whole-memoryview"],
     )
     def test_measurement_outcomes(self, outcomes):
         with _raises(ValueError, f"outcomes must be 4 finite real numbers, got {outcomes!r}"):
@@ -641,7 +675,11 @@ class TestValidationMessages:
             with _raises(ValueError, "operators.A'B: not a CMatrix"):
                 NamedModel("m", _state(), None, operators, "animal-acts", 0.03)
 
-    @pytest.mark.parametrize("text", ["1000", b"1000"], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1000", b"1000", bytearray(b"1000"), memoryview(b"1000")],
+        ids=["str", "bytes", "bytearray", "memoryview"],
+    )
     def test_vector_text(self, text):
         # iterated, "1000" read as (1, 0, 0, 0) and b"1000" as (49, 48, 48, 48)
         with _raises(ValueError, f"expected 4 amplitudes, got text {text!r}"):
@@ -652,12 +690,28 @@ class TestValidationMessages:
     @pytest.mark.parametrize(
         "rows,row",
         [(["1000", "0100", "0010", "0001"], "1000"),
-         ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], b"0001"], b"0001")],
-        ids=["str", "bytes"],
+         ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], b"0001"], b"0001"),
+         ([bytearray(b"1000")] * 4, bytearray(b"1000")),
+         ([[1, 0, 0, 0], _MEMORYVIEW_ROW] * 2, _MEMORYVIEW_ROW)],
+        ids=["str", "bytes", "bytearray", "memoryview"],
     )
     def test_matrix_row_text(self, rows, row):
         with _raises(ValueError, f"expected a row of 4 entries, got text {row!r}"):
             CMatrix(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["1234", b"1234", bytearray(b"1234"), memoryview(b"1234")],
+        ids=["str", "bytes", "bytearray", "memoryview"],
+    )
+    def test_matrix_rows_text(self, rows):
+        # iterated, each character or byte would be taken for a row
+        with _raises(ValueError, f"expected 4 rows, got text {rows!r}"):
+            CMatrix(rows)
+
+    def test_matrix_row_that_is_not_iterable(self):
+        with _raises(ValueError, "expected a row of 4 entries, got 1"):
+            CMatrix([1, 2, 3, 4])
 
     @pytest.mark.parametrize(
         "cells",
@@ -687,7 +741,9 @@ class TestValidationMessages:
         with _raises(ValueError, message):
             model.verify(data)
         with _raises(ValueError, message):
-            verify_predictions(model.predictions, data, model.tolerance)
+            Construction(model.state, model.measurements, model.operators).verify(
+                data, model.tolerance
+            )
         if model.measurements is not None:
             with _raises(ValueError, message):
                 verify_model(model.state, model.measurements, data, model.tolerance)
