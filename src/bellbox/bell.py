@@ -32,7 +32,6 @@ from enum import Enum
 from .tables import (
     CLASS_TOL,
     PAIR_ORDER,
-    Experiment,
     SettingPair,
     expectation_value,
     marginal_law_report,

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from .expfile import ExperimentFileError, read_experiment, write_experiment
 from .hilbert import ISOMORPHISMS
 from .models import REGISTRY, get_fixture, get_model
-from .report import Report, build_report, render_machine, render_text
+from .report import build_report, render_machine, render_text
 from .tables import DEFAULT_NORM_TOL, TableError
 
 

@@ -14,9 +14,11 @@ isomorphism only through its pairing {{k00, k11}, {k01, k10}}: complex
 products and IEEE sums commute, and |x - y| = |y - x|, so the 24
 isomorphisms form 3 pairing classes of 8 that give the same moduli bit for
 bit.  The modulus is written once, in :func:`_det_modulus`, which
-:func:`is_product_vector`, :func:`schmidt_coefficients` and a measurement's
-moduli call.  A measurement's flags, at any tolerance, are read from moduli
-it computes once per pairing class.
+:func:`is_product_vector`, :func:`schmidt_coefficients` and
+:func:`is_entangled_measurement` call.  Within a class, the realignments
+of an operator are transposes and row and column permutations of one
+another, with the same 2x2 minors, so a :class:`Construction` computes its
+entanglement flags, at any tolerance, once per class.
 
 The two shipped isomorphisms cannot show such a change.
 :data:`SWAPPED_ISO` only exchanges the two tensor factors: it reshapes
@@ -170,14 +172,13 @@ class Measurement(Value):
     measurement built from lists equals and hashes like one built from
     tuples, and each rejection is a :class:`ValueError` that names its
     field.  The measurement is immutable, so :attr:`operator` is built on
-    first use and kept, and one measurement can be shared by any number of
-    models (``models`` builds each canonical-basis measurement once).  So
-    are its final states' determinant moduli, per pairing class of
-    :class:`Isomorphism` (see :func:`is_entangled_measurement`); equality
-    and hashing ignore both.  Orthonormality does not depend on the order
-    of the final states, so :meth:`_reordered` derives another ordering of
-    a checked basis without a second Gram check; every public construction
-    runs the full check.
+    first use and kept (equality and hashing ignore it), and one
+    measurement can be shared by any number of models (``models`` builds
+    each canonical-basis measurement once); it keeps nothing else filled on
+    use.  Orthonormality does not depend on the order of the final states,
+    so :meth:`_reordered` derives another ordering of a checked basis
+    without a second Gram check; every public construction runs the full
+    check.
     """
 
     _fields = ("pair", "final_states", "outcomes")
@@ -223,8 +224,6 @@ class Measurement(Value):
         # the conjugated final-state amplitudes, for the Born rule and the
         # spectral form
         object.__setattr__(self, "_conjugates", conjugates)
-        # Isomorphism._pairing -> the four determinant moduli, filled on use
-        object.__setattr__(self, "_moduli", {})
 
     def _reordered(self, pair: SettingPair, order: tuple[int, int, int, int]) -> Measurement:
         """``Measurement(pair, [self.final_states[i] for i in order],
@@ -235,7 +234,6 @@ class Measurement(Value):
             final_states=tuple([self.final_states[i] for i in order]),
             outcomes=self.outcomes,
             _conjugates=tuple([self._conjugates[i] for i in order]),
-            _moduli={},
         )
 
     @cached_property
@@ -356,25 +354,14 @@ def is_product_operator(
     return True
 
 
-def _determinant_moduli(final_states: tuple[CVector, ...], iso: Isomorphism) -> tuple:
-    """Each final state's determinant modulus, from :func:`_det_modulus`."""
-    return tuple([_det_modulus(f.amplitudes, iso) for f in final_states])
-
-
 def is_entangled_measurement(
     measurement: Measurement,
     iso: Isomorphism = CANONICAL_ISO,
     tol: float = EXACT_TOL,
 ) -> bool:
     """A measurement is entangled when at least one final state is not a
-    product vector under ``iso``, from determinant moduli computed once per
-    measurement and pairing class.  A NaN ``tol`` fails closed."""
-    moduli = measurement._moduli.get(iso._pairing)
-    if moduli is None:
-        moduli = measurement._moduli[iso._pairing] = _determinant_moduli(
-            measurement.final_states, iso
-        )
-    d0, d1, d2, d3 = moduli
+    product vector under ``iso``.  A NaN ``tol`` fails closed."""
+    d0, d1, d2, d3 = [_det_modulus(f.amplitudes, iso) for f in measurement.final_states]
     return not d0 <= tol or not d1 <= tol or not d2 <= tol or not d3 <= tol
 
 
@@ -416,8 +403,9 @@ class Construction(Value):
     ``product_tol`` decides when a measurement or operator counts as
     entangled.  The construction is immutable, so its :attr:`predictions`,
     which depend on neither the data nor the isomorphism, are computed on
-    first use and kept: each :meth:`verify` call adds only the comparison
-    with the data and the entanglement flags of its isomorphism.
+    first use and kept, as are its entanglement flags, per pairing class:
+    each :meth:`verify` call adds only the data comparison and the flags of
+    a class not seen before.  Each verdict gets dicts of its own.
     """
 
     _fields = ("state", "measurements", "operators", "product_tol")
@@ -451,6 +439,8 @@ class Construction(Value):
         vars(self).update(
             state=state, measurements=measurements, operators=operators, product_tol=product_tol
         )
+        # Isomorphism._pairing -> (measurement or operator flags, state flag)
+        vars(self)["_flags"] = {}
 
     @cached_property
     def predictions(self) -> ModelPredictions:
@@ -495,10 +485,19 @@ class Construction(Value):
             raise ValueError(f"data: expected an Experiment, got {data!r}")
         if not isinstance(iso, Isomorphism):
             raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
-        measurements, product_tol = self.measurements, self.product_tol
+        measurements, operators, product_tol = self.measurements, self.operators, self.product_tol
+        flags = self._flags.get(iso._pairing)
+        if flags is None:
+            entangled = {}
+            for pair in PAIR_ORDER:
+                if measurements is not None:
+                    entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
+                else:
+                    entangled[pair] = not is_product_operator(operators[pair], iso, product_tol)
+            flags = self._flags[iso._pairing] = (entangled, not is_product_vector(self.state, iso))
+        entangled, state_entangled = flags
         predictions = self.predictions
         residuals = {}
-        entangled = {}
         for pair in PAIR_ORDER:
             observed = data.table(pair)
             predicted = predictions.predicted[pair]
@@ -506,16 +505,14 @@ class Construction(Value):
                 p0, p1, p2, p3 = predicted
                 o0, o1, o2, o3 = observed.values
                 residuals[pair] = max(abs(p0 - o0), abs(p1 - o1), abs(p2 - o2), abs(p3 - o3))
-                entangled[pair] = is_entangled_measurement(measurements[pair], iso, product_tol)
             else:
                 residuals[pair] = abs(predicted - expectation_value(observed))
-                entangled[pair] = not is_product_operator(self.operators[pair], iso, product_tol)
         bell_value = predictions.bell_value
         return ModelVerdict(
             residual_kind="probabilities" if measurements is not None else "expectations",
             residuals=residuals,
-            measurement_entangled=entangled,
-            state_entangled=not is_product_vector(self.state, iso),
+            measurement_entangled=dict(entangled),
+            state_entangled=state_entangled,
             hermiticity_residuals=dict(predictions.hermiticity_residuals),
             chsh_from_model=bell_value.real,
             chsh_imag_residual=abs(bell_value.imag),

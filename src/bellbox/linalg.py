@@ -8,10 +8,11 @@ and checks shape and finiteness once, on construction, and no function
 here or in ``hilbert`` checks them again.  Text or a byte buffer
 (:data:`TEXT_TYPES`) given as a whole vector, as the rows or as a row is a
 :class:`ValueError`: iterated, it would give one entry per character or
-byte.  So is a row that is not iterable.  Each entry is converted as given,
-so ``"1"`` or ``"1+2j"`` is an amplitude.  :class:`CVector` carries the
-operations the state and basis constructions use; :class:`CMatrix` is a
-4x4 with indexing, built in one pass by its callers.  The functions are
+byte.  So is input that is not iterable, or an entry ``complex`` refuses
+the type of (``None``, say).  Each entry is converted as given, so ``"1"``
+or ``"1+2j"`` is an amplitude.  :class:`CVector` carries the operations
+the state and basis constructions use; :class:`CMatrix` is a 4x4 with
+indexing, built in one pass by its callers.  The functions are
 the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner`,
 :func:`apply` and :func:`hermiticity_residual` add and compare in a fixed
 order, left to right, never with ``sum`` (whose float algorithm changed in
@@ -44,7 +45,10 @@ class CVector(Value):
     def __init__(self, amplitudes: Iterable[object]) -> None:
         if isinstance(amplitudes, TEXT_TYPES):
             raise ValueError(f"expected {DIM} amplitudes, got text {amplitudes!r}")
-        amps = tuple(map(complex, amplitudes))
+        try:
+            amps = tuple(map(complex, amplitudes))
+        except TypeError:
+            raise ValueError(f"expected {DIM} finite amplitudes, got {amplitudes!r}") from None
         if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
             raise ValueError(f"expected {DIM} finite amplitudes, got {amps}")
         object.__setattr__(self, "amplitudes", amps)
@@ -83,14 +87,17 @@ class CMatrix(Value):
         if isinstance(rows, TEXT_TYPES):
             raise ValueError(f"expected {DIM} rows, got text {rows!r}")
         mat = []
-        for row in rows:
-            if isinstance(row, TEXT_TYPES):
-                raise ValueError(f"expected a row of {DIM} entries, got text {row!r}")
-            try:
-                entries = iter(row)
-            except TypeError:
-                raise ValueError(f"expected a row of {DIM} entries, got {row!r}") from None
-            mat.append(tuple(map(complex, entries)))
+        try:
+            for row in rows:
+                if isinstance(row, TEXT_TYPES):
+                    raise ValueError(f"expected a row of {DIM} entries, got text {row!r}")
+                try:
+                    entries = iter(row)
+                except TypeError:
+                    raise ValueError(f"expected a row of {DIM} entries, got {row!r}") from None
+                mat.append(tuple(map(complex, entries)))
+        except TypeError:
+            raise ValueError(f"expected {DIM} rows of {DIM} numbers, got {rows!r}") from None
         if len(mat) != DIM or any(
             len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
         ):

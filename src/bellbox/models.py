@@ -19,13 +19,13 @@ with its name, its dataset, its tolerance and its phases.  The two
 vessel constructions differ in where the entanglement sits (state vs.
 measurements), which is the point of keeping both.  Their canonical
 product-basis measurements do not depend on the phases, so each is built
-once, on first use, and shared by every vessel model, with the
-determinant moduli behind its flags.  The AB', A'B and A'B' bases of
-:func:`vessels_model` are three orders of one set, checked for
-orthonormality once.  A vessel model has no operator matrices: it is
-verified from its Born tables (see ``hilbert``), and a second isomorphism
-of the same pairing class adds only the data comparison and the state's
-flag.
+once, on first use, and shared by every vessel model; a measurement keeps
+no flags, since a construction computes its own once per pairing class
+(see ``hilbert``).  The AB', A'B and A'B' bases of :func:`vessels_model`
+are three orders of one set, checked for orthonormality once.  A vessel
+model has no operator matrices: it is verified from its Born tables, and a
+second isomorphism of the same pairing class adds only the data
+comparison.
 """
 
 from __future__ import annotations
@@ -37,14 +37,7 @@ from collections.abc import Callable, Mapping
 from functools import cache, cached_property
 
 from .bell import ZooClass
-from .hilbert import (
-    CANONICAL_ISO,
-    Construction,
-    Isomorphism,
-    Measurement,
-    ModelVerdict,
-    StateVector,
-)
+from .hilbert import CANONICAL_ISO, Construction, Measurement, StateVector
 from .linalg import CANONICAL_BASIS, TEXT_TYPES, CMatrix, CVector
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
@@ -285,7 +278,7 @@ def _canonical_measurement(pair: SettingPair) -> Measurement:
     """The canonical product basis read out at ``pair``.
 
     It does not depend on any phase, so it is built on first use, once per
-    pair, and every vessel model shares it, with its determinant moduli."""
+    pair, and every vessel model shares it."""
     return Measurement(pair, CANONICAL_BASIS)
 
 
@@ -338,11 +331,14 @@ def basis_from_probabilities(
     """
     if not isinstance(state, StateVector):
         raise ValueError(f"state: expected a StateVector, got {state!r}")
-    entries = tuple(targets)
-    # float parses text and byte buffers, so they are refused before it
-    if isinstance(targets, TEXT_TYPES) or any(isinstance(x, TEXT_TYPES) for x in entries):
-        raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
-    vals = tuple(map(float, entries))
+    try:
+        entries = tuple(targets)
+        # float parses text and byte buffers, so they are refused before it
+        if isinstance(targets, TEXT_TYPES) or any(isinstance(x, TEXT_TYPES) for x in entries):
+            raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
+        vals = tuple(map(float, entries))
+    except TypeError:
+        raise ValueError(f"targets must be 4 numbers, got {targets!r}") from None
     if len(vals) != 4:
         raise ValueError(f"expected 4 target probabilities, got {len(vals)}")
     if not all(map(math.isfinite, vals)):

@@ -20,15 +20,11 @@ from .bell import (
     AmbiguousClassError,
     BOUNDS,
     CHSH_TERM_ORDER,
-    ZooClass,
     chsh,
     decide_class,
 )
 from .expfile import _RAW, _REAL, _SETTINGS, _layout
-from .hilbert import ModelVerdict
-from .models import NamedModel
 from .tables import (
-    Experiment,
     Factors,
     PAIR_ORDER,
     factorization_test,

@@ -23,6 +23,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 
 from ._value import Value
+from .linalg import TEXT_TYPES
 
 # Every tolerance behind a verdict (those of one built-in dataset are in models).
 #: Normalization: how far a raw table's sum may miss 1 (rounded tables).
@@ -179,11 +180,18 @@ def normalize(
     :class:`NotNormalizableError` when the raw sum misses 1 by more than
     ``tol`` (always when ``tol`` is NaN), or is 0 or overflows, which only a
     ``tol`` of 1 or more lets through.  A ``pair`` that is not a
-    :class:`SettingPair` raises a :class:`TableError`, as in the constructor.
+    :class:`SettingPair` raises a :class:`TableError`, as in the constructor,
+    and so do text, a byte buffer or a non-iterable as ``values``, or an
+    entry ``float`` refuses the type of; decimal strings are entries.
     """
     if not isinstance(pair, SettingPair):
         raise TableError(f"pair must be a SettingPair, got {pair!r}")
-    vals = tuple(map(float, values))
+    if isinstance(values, TEXT_TYPES):
+        raise TableError(f"expected 4 probabilities, got text {values!r}")
+    try:
+        vals = tuple(map(float, values))
+    except TypeError:
+        raise TableError(f"expected 4 probabilities, got {values!r}") from None
     if len(vals) != 4:
         raise TableError(f"expected 4 probabilities, got {len(vals)}")
     p11, p12, p21, p22 = vals

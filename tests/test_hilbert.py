@@ -64,10 +64,12 @@ from oracles import (
     random_product_vector,
     random_table,
     random_unit_cvector,
+    reference_realign,
     reference_reshape,
     reference_schmidt_coefficients,
     vessels_offdiag_operator_reference,
 )
+from test_kernels import _minor_moduli, _realignment_matrices
 
 SQ = math.sqrt(0.5)
 
@@ -465,8 +467,8 @@ def _determinant_cache_cases(seed):
 
 
 class TestDeterminantCache:
-    """A measurement's determinant moduli are computed once per pairing
-    class of isomorphism, and every isomorphism of the class reads them."""
+    """A final state's determinant modulus depends on the isomorphism only
+    through its pairing class, and every check reads the same one."""
 
     def test_pairing_classes(self):
         classes = {}
@@ -481,20 +483,8 @@ class TestDeterminantCache:
         assert counts == [8, 8, 8]
         assert SWAPPED_ISO._pairing == CANONICAL_ISO._pairing
 
-    def test_cached_moduli_equal_each_isomorphisms_own_determinants(self):
-        for m in _determinant_cache_cases(1616):
-            for iso in ALL_ISOS:
-                is_entangled_measurement(m, iso)
-                k00, k11, k01, k10 = iso._det_indices
-                direct = [
-                    abs(a[k00] * a[k11] - a[k01] * a[k10])
-                    for a in (f.amplitudes for f in m.final_states)
-                ]
-                assert [d.hex() for d in m._moduli[iso._pairing]] == [d.hex() for d in direct]
-            assert sorted(m._moduli) == [1, 2, 3]
-
     def test_product_vector_and_schmidt_read_the_same_determinant(self):
-        # the modulus the cache is checked against, computed directly, is the
+        # the modulus the flags are checked against, computed directly, is the
         # one is_product_vector compares with its tolerance and the one
         # schmidt_coefficients puts in its closed form, bit for bit
         for m in _determinant_cache_cases(1619):
@@ -537,7 +527,6 @@ class TestDeterminantCache:
                 checked = Measurement(pair, [basis[i] for i in order], outcomes)
                 assert reordered == checked and hash(reordered) == hash(checked)
                 assert reordered._conjugates == checked._conjugates
-                assert reordered._moduli == {} and reordered._moduli is not m._moduli
                 assert is_entangled_measurement(reordered) == is_entangled_measurement(checked)
 
     def test_vessel_bases_are_reorderings_of_one_checked_basis(self):
@@ -555,6 +544,95 @@ class TestDeterminantCache:
                 checked = Measurement(pair, basis)
                 assert model.measurements[pair] == checked
                 assert model.measurements[pair]._conjugates == checked._conjugates
+
+
+def _pairing_classes():
+    """ALL_ISOS grouped by pairing class: three lists of 8."""
+    classes = {}
+    for iso in ALL_ISOS:
+        classes.setdefault(iso._pairing, []).append(iso)
+    return list(classes.values())
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+class TestPairingClassInvariance:
+    """Every entanglement flag, at any tolerance, is the same for the 8
+    isomorphisms of a pairing class, which is why a construction computes
+    its flags once per class; the classes themselves do not agree."""
+
+    def test_vector_and_measurement_flags(self):
+        decided = set()
+        for m in _determinant_cache_cases(1616):
+            for isos in _pairing_classes():
+                # each final state's determinant, computed directly under each
+                # isomorphism of the class, is one float
+                moduli = []
+                for iso in isos:
+                    k00, k11, k01, k10 = iso._det_indices
+                    moduli.append([
+                        abs(a[k00] * a[k11] - a[k01] * a[k10])
+                        for a in (f.amplitudes for f in m.final_states)
+                    ])
+                assert len({tuple(d.hex() for d in row) for row in moduli}) == 1
+                worst = max(moduli[0])
+                tols = (EXACT_TOL, 0.0, worst, _below(worst), -1.0, math.nan)
+                tols += tuple(moduli[0]) + tuple(map(_below, moduli[0]))
+                for tol in tols:
+                    flags = {
+                        (
+                            is_entangled_measurement(m, iso, tol),
+                            tuple(is_product_vector(f, iso, tol) for f in m.final_states),
+                        )
+                        for iso in isos
+                    }
+                    assert len(flags) == 1
+                    decided |= flags
+        assert {entangled for entangled, _ in decided} == {True, False}
+
+    def test_operator_flags(self):
+        matrices = _realignment_matrices(1621)
+        assert all(any(op is m for m in matrices) for op in ANIMAL_ACTS_OPERATORS.values())
+        decided = set()
+        for m in matrices:
+            for isos in _pairing_classes():
+                minors = [sorted(_minor_moduli(reference_realign(m.rows, i.cells))) for i in isos]
+                assert len({tuple(d.hex() for d in row) for row in minors}) == 1
+                worst = minors[0][-1]
+                for tol in (EXACT_TOL, 0.0, worst, _below(worst), -1.0, math.nan):
+                    flags = {is_product_operator(m, iso, tol) for iso in isos}
+                    assert len(flags) == 1
+                    decided |= flags
+        assert decided == {True, False}
+
+    def test_flags_differ_across_classes(self):
+        # the vessel state and its AB', A'B and A'B' bases are entangled in
+        # the canonical class only, so a construction that kept its flags
+        # under a key coarser than the class would give wrong verdicts:
+        # verified under all 24 isomorphisms, classes interleaved, each
+        # verdict must equal that of a fresh construction
+        data = vessels_data().experiment
+        classes = _pairing_classes()
+        model = vessels_model(0.3, 1.1)
+        flags = {}
+        for isos in zip(*classes):
+            for iso in isos:
+                verdict = model.verify(data, iso=iso)
+                assert verdict == vessels_model(0.3, 1.1).verify(data, iso=iso)
+                entangled = tuple(verdict.measurement_entangled[p] for p in PAIR_ORDER)
+                flags.setdefault(iso._pairing, set()).add((entangled, verdict.state_entangled))
+        canonical = CANONICAL_ISO._pairing
+        assert flags == {
+            p: {((False, True, True, True), True) if p == canonical else ((False,) * 4, False)}
+            for p in (1, 2, 3)
+        }
+        # a product operator under one class is none under the other two
+        rng = random.Random(1622)
+        op = product_operator(random_2x2_matrix(rng), random_2x2_matrix(rng), CANONICAL_ISO.cells)
+        products = {isos[0]._pairing: is_product_operator(op, isos[0], 1e-9) for isos in classes}
+        assert products == {p: p == canonical for p in (1, 2, 3)}
 
 
 class TestVerifyModel:

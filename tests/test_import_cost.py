@@ -9,12 +9,14 @@ a fresh interpreter, against what a bare one has already loaded.
 
 Annotations name types only: under ``from __future__ import annotations``
 they are never evaluated, so no module imports ``typing`` or ``pathlib`` for
-them.  That is checked under ``python -S``, because a ``site`` that already
-imports ``typing`` (a ``.pth`` file can) would hide an import made by
-bellbox.  The experiment file is written with ``open``, in the bytes that
-``Path.write_text`` writes.
+them, nor a name of a sibling module that nothing else uses (an AST check).
+``typing`` and ``pathlib`` are checked under ``python -S``, because a
+``site`` that already imports ``typing`` (a ``.pth`` file can) would hide an
+import made by bellbox.  The experiment file is written with ``open``, in
+the bytes that ``Path.write_text`` writes.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -128,3 +130,39 @@ def test_writer_refuses_an_int_path():
     # open would take the int for a file descriptor (this one is not open)
     with pytest.raises(TypeError):
         write_experiment(987654, vessels_data().experiment)
+
+
+def _names_used_only_in_annotations(source: str) -> list[str]:
+    """The names a module imports from a sibling module (``from .x import
+    name``) and uses nowhere but in annotations."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations += [arg.annotation for arg in every if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    in_annotations = {id(n) for a in annotations if a is not None for n in ast.walk(a)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in in_annotations}
+    return sorted(imported - used)
+
+
+def test_annotations_import_nothing():
+    # an annotation is never evaluated, so a name imported only for one
+    # costs an import and claims a dependency the code does not have
+    found = {
+        path.stem: _names_used_only_in_annotations(path.read_text(encoding="utf-8"))
+        for path in (SRC / "bellbox").glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert {"bell", "cli", "models", "report"} <= found.keys()
+    assert {module: names for module, names in found.items() if names} == {}

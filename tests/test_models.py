@@ -326,7 +326,7 @@ class TestVerifyOnce:
             "born_probabilities": 0,
             "hermiticity_residual": 4,
             "bell_operator": 0,
-            "is_product_operator": 8,
+            "is_product_operator": 4,
         }
 
     def test_canonical_measurements_are_built_once_and_shared(self, count_calls):
@@ -352,20 +352,21 @@ class TestVerifyOnce:
         assert models._canonical_measurement.cache_info().currsize == 4
 
     def test_determinants_computed_once_per_measurement_and_pairing_class(self, count_calls):
-        # the canonical and swapped identifications are one pairing class
-        models._canonical_measurement.cache_clear()
-        moduli = count_calls(hilbert, "_determinant_moduli")
+        # the canonical and swapped identifications are one pairing class: a
+        # construction takes its flags under it from the determinants of its
+        # 16 final states and of its state, once, whatever measurements it
+        # shares with other constructions
+        determinants = count_calls(hilbert, "_det_modulus")
         for build in (vessels_model, vessels_alternative_model):
             model = build(0.3, 0.8)
             for iso in ISOS + ISOS:
                 model.verify(vessels_data().experiment, iso=iso)
-        # vessels: 3 phase-dependent bases and the shared AB; vessels-alt:
-        # 1 phase-dependent basis and the shared AB', A'B, A'B'
-        assert moduli[0] == 4 + 4
+        assert determinants[0] == 2 * (16 + 1)
         other_class = hilbert.Isomorphism("other", ((0, 0), (1, 1), (0, 1), (1, 0)))
         assert other_class._pairing != CANONICAL_ISO._pairing
-        vessels_model(0.3, 0.8).verify(iso=other_class)
-        assert moduli[0] == 8 + 4
+        for _ in range(2):
+            model.verify(iso=other_class)
+        assert determinants[0] == 3 * (16 + 1)
 
     def test_comparing_vessel_models_builds_no_operator(self, count_calls):
         # the benchmark compares each op's output with a reference by ==
@@ -438,6 +439,17 @@ class TestVerifyOnce:
         second = model.verify()
         assert second.hermiticity_residuals[SettingPair.AB] != 99.0
         assert model.predictions.hermiticity_residuals[SettingPair.AB] != 99.0
+
+    @pytest.mark.parametrize("build", [vessels_model, animal_acts_model])
+    def test_verdicts_do_not_share_the_kept_flags(self, build):
+        # a construction keeps its flags per pairing class; each verdict gets
+        # its own dict of them
+        model = build()
+        first = model.verify(iso=CANONICAL_ISO)
+        flags = dict(first.measurement_entangled)
+        first.measurement_entangled[SettingPair.AB] = "changed"
+        second = model.verify(iso=SWAPPED_ISO)
+        assert second.measurement_entangled == flags
 
 
 @pytest.mark.parametrize("iso", ISOS, ids=lambda iso: iso.name)

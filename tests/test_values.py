@@ -619,6 +619,21 @@ class TestValidationMessages:
         with _raises(TableError, f"pair must be a SettingPair, got {pair!r}"):
             normalize((0.5, 0.5, 0, 0), pair)
 
+    @pytest.mark.parametrize(
+        "values",
+        ["1000", b"\x01\0\0\0", bytearray(b"\0\x01\0\0"), memoryview(b"1000")],
+        ids=["str", "bytes", "bytearray", "memoryview"],
+    )
+    def test_normalize_text(self, values):
+        # float would read each character or byte as an entry
+        with _raises(TableError, f"expected 4 probabilities, got text {values!r}"):
+            normalize(values)
+
+    @pytest.mark.parametrize("values", [None, 5, [None] * 4], ids=["none", "int", "none-entries"])
+    def test_normalize_values_that_do_not_convert(self, values):
+        with _raises(TableError, f"expected 4 probabilities, got {values!r}"):
+            normalize(values)
+
     @pytest.mark.parametrize("position", [0, 1, 3])
     def test_joint_table_entry_that_does_not_add(self, position):
         # a Decimal compares with a float, so it passes the range check, but
@@ -688,6 +703,15 @@ class TestValidationMessages:
             StateVector.of(text)
 
     @pytest.mark.parametrize(
+        "amplitudes", [5, None, [None] * 4], ids=["int", "none", "none-entries"]
+    )
+    def test_vector_that_does_not_convert(self, amplitudes):
+        with _raises(ValueError, f"expected 4 finite amplitudes, got {amplitudes!r}"):
+            CVector(amplitudes)
+        with _raises(ValueError, f"expected 4 finite amplitudes, got {amplitudes!r}"):
+            StateVector.of(amplitudes)
+
+    @pytest.mark.parametrize(
         "rows,row",
         [(["1000", "0100", "0010", "0001"], "1000"),
          ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], b"0001"], b"0001"),
@@ -713,6 +737,11 @@ class TestValidationMessages:
         with _raises(ValueError, "expected a row of 4 entries, got 1"):
             CMatrix([1, 2, 3, 4])
 
+    @pytest.mark.parametrize("rows", [5, [[None] * 4] * 4], ids=["int", "none-entries"])
+    def test_matrix_that_does_not_convert(self, rows):
+        with _raises(ValueError, f"expected 4 rows of 4 numbers, got {rows!r}"):
+            CMatrix(rows)
+
     @pytest.mark.parametrize(
         "cells",
         [((0, 0), (0, 1), (1, 0), None), ((0, 0), (0, 1), (1, 0), "11"),
@@ -729,6 +758,11 @@ class TestValidationMessages:
     def test_basis_synthesis_needs_a_state_vector(self, state):
         with _raises(ValueError, f"state: expected a StateVector, got {state!r}"):
             basis_from_probabilities(state, (0.25,) * 4)
+
+    @pytest.mark.parametrize("targets", [None, 5, [None] * 4], ids=["none", "int", "none-entries"])
+    def test_basis_synthesis_targets_that_do_not_convert(self, targets):
+        with _raises(ValueError, f"targets must be 4 numbers, got {targets!r}"):
+            basis_from_probabilities(_state(), targets)
 
     @pytest.mark.parametrize(
         "model,fixture",
