@@ -1,14 +1,15 @@
 """The private base of bellbox's immutable value classes.
 
 A subclass names its fields in ``_fields`` and sets each of them once, in
-its ``__init__``, with ``object.__setattr__`` or ``vars(self).update``.  From
-then on, assigning or deleting any attribute raises :class:`AttributeError`.
-Equality, hashing and the repr go over the named fields only, so a value
-that ``functools.cached_property`` keeps in the instance ``__dict__`` never
-takes part.  :meth:`Value._make` is the one way to build a value without the
-checks of its ``__init__``, for a caller that has already made them.
-Defining such a class costs no more than any class statement, where
-a generated ``dataclasses`` class costs about a millisecond.
+its ``__init__``, with ``vars(self).update(...)`` (``vars(self)[name] = ...``
+for a single field).  From then on, assigning or deleting any attribute
+raises :class:`AttributeError`.  Equality, hashing and the repr go over the
+named fields only, so a value that ``functools.cached_property`` keeps in
+the instance ``__dict__`` never takes part.  :meth:`Value._make` is the
+one way to build a value without the checks of its ``__init__``, for a
+caller that has already made them.  Defining such a class costs no more
+than any class statement, where a generated ``dataclasses`` class costs
+about a millisecond.
 """
 
 from operator import attrgetter

@@ -35,14 +35,16 @@ four final states and outcomes and their orthonormality in
 ``models.NamedModel`` extends and :func:`verify_model` builds: a
 :class:`StateVector`, and exactly one of measurements and operators, a
 mapping with one entry per setting pair, filed under it.  The kernels
-trust their arguments and compute from the tuples those values hold,
-building no value that is only read again.  Each evaluates its sums in a
-fixed order with explicit loops, never with ``sum``, and gives the same
-floats, bit for bit, as the straightforward forms kept in
-``tests/oracles.py``.  Measurements are immutable and may be
-shared: ``models`` builds each canonical-basis measurement once, and every
-vessel model reuses it.  Each :class:`Isomorphism` makes its realignment
-map once, which :func:`realign` and :func:`is_product_operator` read.
+check only that ``iso`` is an :class:`Isomorphism` (and :func:`realign`
+that ``m`` is a :class:`CMatrix`), trust the values they are given, and
+compute from the tuples those values hold, building no value that is only
+read again.  Each evaluates its sums in a fixed order with explicit loops,
+never with ``sum``, and gives the same floats, bit for bit, as the
+straightforward forms kept in ``tests/oracles.py``.  Measurements are
+immutable and may be shared: ``models`` builds each canonical-basis
+measurement once, and every vessel model reuses it.  Each
+:class:`Isomorphism` makes its realignment map once, which :func:`realign`
+and :func:`is_product_operator` read.
 
 A :class:`Construction` owns its check, its predictions and its
 verification.  One given by its measurements is predicted from their Born
@@ -65,9 +67,10 @@ from functools import cached_property
 from ._value import Value
 from .linalg import (
     DIM,
-    TEXT_TYPES,
     CMatrix,
     CVector,
+    _numbers,
+    _real,
     hermiticity_residual,
     quadratic_form,
 )
@@ -103,22 +106,21 @@ class Isomorphism(Value):
             bijection = False
         if not bijection:
             raise ValueError(f"cells must be a bijection onto {{0,1}}^2: {cells}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cells", cells)
         # the coordinates in cells 00, 11, 01, 10: the determinant of a
         # vector's reshaped array is v[k00] v[k11] - v[k01] v[k10]
         k00, k11, k01, k10 = (cells.index(c) for c in ((0, 0), (1, 1), (0, 1), (1, 0)))
-        object.__setattr__(self, "_det_indices", (k00, k11, k01, k10))
-        # the pairing class, named by the coordinate that shares a diagonal
-        # with coordinate 0 (1, 2 or 3)
-        object.__setattr__(self, "_pairing", {k00: k11, k11: k00, k01: k10, k10: k01}[0])
         # the realignment map: entry (r, c) of R[(i,i'),(j,j')] = M[(i,j),(i',j')]
         # is M[k][l], with k in cell (r // 2, c // 2) and l in cell (r % 2, c % 2)
         at = {cell: k for k, cell in enumerate(cells)}
         realignment = tuple([
             tuple([(at[r // 2, c // 2], at[r % 2, c % 2]) for c in range(DIM)]) for r in range(DIM)
         ])
-        object.__setattr__(self, "_realignment", realignment)
+        # _pairing: the pairing class, named by the coordinate that shares a
+        # diagonal with coordinate 0 (1, 2 or 3)
+        vars(self).update(
+            name=name, cells=cells, _det_indices=(k00, k11, k01, k10),
+            _pairing={k00: k11, k11: k00, k01: k10, k10: k01}[0], _realignment=realignment,
+        )
 
 
 #: Index k goes to cell (k // 2, k % 2).
@@ -141,7 +143,7 @@ class StateVector(Value):
         n = vector.norm()
         if abs(n - 1.0) > EXACT_TOL:
             raise ValueError(f"state norm {n!r} is not 1 within {EXACT_TOL}")
-        object.__setattr__(self, "vector", vector)
+        vars(self)["vector"] = vector
 
     @classmethod
     def of(cls, amplitudes: Sequence[object], normalize: bool = False) -> "StateVector":
@@ -166,8 +168,8 @@ class Measurement(Value):
 
     Everything is validated here, once: a :class:`tables.SettingPair`;
     exactly four :class:`CVector` final states, orthonormal within
-    :data:`tables.EXACT_TOL`; four outcomes, none of them text or a byte
-    buffer (:data:`linalg.TEXT_TYPES`), that ``float`` turns into finite reals.
+    :data:`tables.EXACT_TOL`; four finite outcomes, four numbers by
+    ``linalg._numbers`` converted with ``linalg._real`` (no text entries).
     Each field is stored as a tuple (outcomes as ``float``), so a
     measurement built from lists equals and hashes like one built from
     tuples, and each rejection is a :class:`ValueError` that names its
@@ -194,14 +196,8 @@ class Measurement(Value):
         final_states = tuple(final_states)
         if len(final_states) != 4 or not all(isinstance(f, CVector) for f in final_states):
             raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
-        values = ()
-        if not isinstance(outcomes, TEXT_TYPES):  # bytes iterate as their values
-            try:
-                # float parses text and byte buffers, so they are dropped and the count fails
-                values = tuple([float(x) for x in outcomes if not isinstance(x, TEXT_TYPES)])
-            except (TypeError, ValueError):
-                pass
-        if len(values) != 4 or not all(map(math.isfinite, values)):
+        values = _numbers(outcomes, _real)
+        if values is None or not all(map(math.isfinite, values)):
             raise ValueError(f"outcomes must be 4 finite real numbers, got {outcomes!r}")
         amplitudes = [f.amplitudes for f in final_states]
         conjugates = tuple([tuple([z.conjugate() for z in a]) for a in amplitudes])
@@ -218,12 +214,11 @@ class Measurement(Value):
                         f"final states {labels[i]},{labels[j]} are not "
                         f"orthonormal: |<i|j>| = {overlap!r}"
                     )
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "final_states", final_states)
-        object.__setattr__(self, "outcomes", values)
-        # the conjugated final-state amplitudes, for the Born rule and the
-        # spectral form
-        object.__setattr__(self, "_conjugates", conjugates)
+        # _conjugates: the conjugated final-state amplitudes, for the Born
+        # rule and the spectral form
+        vars(self).update(
+            pair=pair, final_states=final_states, outcomes=values, _conjugates=conjugates
+        )
 
     def _reordered(self, pair: SettingPair, order: tuple[int, int, int, int]) -> Measurement:
         """``Measurement(pair, [self.final_states[i] for i in order],
@@ -288,6 +283,12 @@ def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
     ])
 
 
+def _check_iso(iso: object) -> None:
+    """Raise a :class:`ValueError` naming ``iso`` unless it is an :class:`Isomorphism`."""
+    if not isinstance(iso, Isomorphism):
+        raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
+
+
 def _det_modulus(amplitudes: tuple[complex, ...], iso: Isomorphism) -> float:
     """|a[k00] a[k11] - a[k01] a[k10]|: the determinant modulus of the
     amplitudes' 2x2 array under ``iso``, the one place it is computed."""
@@ -304,6 +305,7 @@ def schmidt_coefficients(
     determinant modulus d: s+- = sqrt((t +- sqrt(t^2 - 4 d^2)) / 2).  t adds
     the cells in order 00, 01, 10, 11.
     """
+    _check_iso(iso)
     a = _vec(v).amplitudes
     k00, k11, k01, k10 = iso._det_indices
     t = 0.0 + abs(a[k00]) ** 2 + abs(a[k01]) ** 2 + abs(a[k10]) ** 2 + abs(a[k11]) ** 2
@@ -319,14 +321,17 @@ def is_product_vector(
 ) -> bool:
     """True when the vector is a tensor product under ``iso`` (the reshaped
     2x2 array has vanishing determinant)."""
+    _check_iso(iso)
     return _det_modulus(_vec(v).amplitudes, iso) <= tol
 
 
 def _realigned(m: CMatrix, iso: Isomorphism) -> tuple[tuple[complex, ...], ...]:
     """The rows of :func:`realign`, as tuples; a :class:`ValueError` names
-    ``m`` unless it is a :class:`CMatrix`."""
+    ``m`` unless it is a :class:`CMatrix`, and ``iso`` unless it is an
+    :class:`Isomorphism`."""
     if not isinstance(m, CMatrix):
         raise ValueError(f"m: expected a CMatrix, got {m!r}")
+    _check_iso(iso)
     rows = m.rows
     return tuple([tuple([rows[k][l] for k, l in line]) for line in iso._realignment])
 
@@ -361,6 +366,7 @@ def is_entangled_measurement(
 ) -> bool:
     """A measurement is entangled when at least one final state is not a
     product vector under ``iso``.  A NaN ``tol`` fails closed."""
+    _check_iso(iso)
     d0, d1, d2, d3 = [_det_modulus(f.amplitudes, iso) for f in measurement.final_states]
     return not d0 <= tol or not d1 <= tol or not d2 <= tol or not d3 <= tol
 
@@ -483,8 +489,7 @@ class Construction(Value):
         """
         if not isinstance(data, Experiment):
             raise ValueError(f"data: expected an Experiment, got {data!r}")
-        if not isinstance(iso, Isomorphism):
-            raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
+        _check_iso(iso)
         measurements, operators, product_tol = self.measurements, self.operators, self.product_tol
         flags = self._flags.get(iso._pairing)
         if flags is None:

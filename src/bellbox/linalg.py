@@ -2,17 +2,17 @@
 
 Everything downstream lives in C^4 (two binary settings per side), so the
 types are fixed-size: plain tuples of Python ``complex``, no numerics
-library.  This is where amplitudes and entries are validated: each
-:class:`CVector` and :class:`CMatrix` converts its input with ``complex``
-and checks shape and finiteness once, on construction, and no function
-here or in ``hilbert`` checks them again.  Text or a byte buffer
-(:data:`TEXT_TYPES`) given as a whole vector, as the rows or as a row is a
-:class:`ValueError`: iterated, it would give one entry per character or
-byte.  So is input that is not iterable, or an entry ``complex`` refuses
-the type of (``None``, say).  Each entry is converted as given, so ``"1"``
-or ``"1+2j"`` is an amplitude.  :class:`CVector` carries the operations
-the state and basis constructions use; :class:`CMatrix` is a 4x4 with
-indexing, built in one pass by its callers.  The functions are
+library.  One rule turns input into four numbers, :func:`_numbers`: text
+or a byte buffer (:data:`TEXT_TYPES`) as a whole, input that does not
+iterate, an entry the conversion refuses and any count but four are not
+four numbers.  Every constructor that takes four numbers calls it, each
+with its own conversion: ``complex`` here, so ``"1"`` or ``"1+2j"`` is an
+amplitude, ``float`` in ``tables.normalize``, and :func:`_real` for
+outcomes and targets.  A :class:`CVector` takes four finite amplitudes and
+a :class:`CMatrix` four rows, each taken as a :class:`CVector` takes its
+amplitudes; each checks once, on construction, with a :class:`ValueError`
+that names ``amplitudes`` or ``rows``, and no function here or in
+``hilbert`` checks again.  The functions are
 the products bellbox evaluates; :meth:`CVector.norm`, :func:`inner`,
 :func:`apply` and :func:`hermiticity_residual` add and compare in a fixed
 order, left to right, never with ``sum`` (whose float algorithm changed in
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from ._value import Value
 
@@ -37,21 +37,38 @@ DIM = 4
 TEXT_TYPES = (str, bytes, bytearray, memoryview)
 
 
+def _numbers(values: object, convert: Callable[[object], object]) -> tuple | None:
+    """``values`` as a tuple of four entries, each through ``convert``; ``None``
+    when ``values`` is text or a byte buffer, does not iterate, holds an
+    entry ``convert`` refuses with a TypeError or ValueError, or has some
+    other count."""
+    if isinstance(values, TEXT_TYPES):
+        return None
+    try:
+        numbers = tuple(map(convert, values))
+    except (TypeError, ValueError):
+        return None
+    return numbers if len(numbers) == DIM else None
+
+
+def _real(x: object) -> float:
+    """``float(x)``, but a TypeError for text or a byte buffer, which ``float`` parses."""
+    if isinstance(x, TEXT_TYPES):
+        raise TypeError(f"not a real number: {x!r}")
+    return float(x)
+
+
 class CVector(Value):
-    """Four complex amplitudes, in ``amplitudes``."""
+    """Four complex amplitudes, in ``amplitudes``: finite, and four numbers
+    by :func:`_numbers` converted with ``complex``."""
 
     _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: Iterable[object]) -> None:
-        if isinstance(amplitudes, TEXT_TYPES):
-            raise ValueError(f"expected {DIM} amplitudes, got text {amplitudes!r}")
-        try:
-            amps = tuple(map(complex, amplitudes))
-        except TypeError:
-            raise ValueError(f"expected {DIM} finite amplitudes, got {amplitudes!r}") from None
-        if len(amps) != DIM or not all(map(cmath.isfinite, amps)):
-            raise ValueError(f"expected {DIM} finite amplitudes, got {amps}")
-        object.__setattr__(self, "amplitudes", amps)
+        amps = _numbers(amplitudes, complex)
+        if amps is None or not all(map(cmath.isfinite, amps)):
+            raise ValueError(f"amplitudes: expected {DIM} finite numbers, got {amplitudes!r}")
+        vars(self)["amplitudes"] = amps
 
     def __iter__(self):
         return iter(self.amplitudes)
@@ -79,30 +96,16 @@ CANONICAL_BASIS = tuple(
 
 
 class CMatrix(Value):
-    """A 4x4 complex matrix, stored row-major in ``rows``."""
+    """A 4x4 complex matrix, stored row-major in ``rows``: four rows, each
+    taken as a :class:`CVector` takes its amplitudes."""
 
     _fields = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
-        if isinstance(rows, TEXT_TYPES):
-            raise ValueError(f"expected {DIM} rows, got text {rows!r}")
-        mat = []
-        try:
-            for row in rows:
-                if isinstance(row, TEXT_TYPES):
-                    raise ValueError(f"expected a row of {DIM} entries, got text {row!r}")
-                try:
-                    entries = iter(row)
-                except TypeError:
-                    raise ValueError(f"expected a row of {DIM} entries, got {row!r}") from None
-                mat.append(tuple(map(complex, entries)))
-        except TypeError:
-            raise ValueError(f"expected {DIM} rows of {DIM} numbers, got {rows!r}") from None
-        if len(mat) != DIM or any(
-            len(row) != DIM or not all(map(cmath.isfinite, row)) for row in mat
-        ):
-            raise ValueError(f"expected a {DIM}x{DIM} matrix of finite entries")
-        object.__setattr__(self, "rows", tuple(mat))
+        vectors = _numbers(rows, CVector)
+        if vectors is None:
+            raise ValueError(f"rows: expected {DIM} rows of {DIM} finite numbers, got {rows!r}")
+        vars(self)["rows"] = tuple([v.amplitudes for v in vectors])
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:
         return self.rows[i]

@@ -38,7 +38,7 @@ from functools import cache, cached_property
 
 from .bell import ZooClass
 from .hilbert import CANONICAL_ISO, Construction, Measurement, StateVector
-from .linalg import CANONICAL_BASIS, TEXT_TYPES, CMatrix, CVector
+from .linalg import CANONICAL_BASIS, CMatrix, CVector, _numbers, _real
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
@@ -328,21 +328,15 @@ def basis_from_probabilities(
     in ``tests/oracles.py``, and the basis gets :class:`Measurement`'s full
     Gram check.  The reflection needs a unit state: anything but a
     :class:`StateVector` is a :class:`ValueError` naming ``state``.
+    ``targets`` must be four finite numbers by ``linalg._numbers`` and
+    ``linalg._real``, nonnegative and summing to 1, or a :class:`ValueError`
+    names them.
     """
     if not isinstance(state, StateVector):
         raise ValueError(f"state: expected a StateVector, got {state!r}")
-    try:
-        entries = tuple(targets)
-        # float parses text and byte buffers, so they are refused before it
-        if isinstance(targets, TEXT_TYPES) or any(isinstance(x, TEXT_TYPES) for x in entries):
-            raise ValueError(f"targets must be 4 numbers, not text: {targets!r}")
-        vals = tuple(map(float, entries))
-    except TypeError:
-        raise ValueError(f"targets must be 4 numbers, got {targets!r}") from None
-    if len(vals) != 4:
-        raise ValueError(f"expected 4 target probabilities, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"target probabilities must be finite: {vals}")
+    vals = _numbers(targets, _real)
+    if vals is None or not all(map(math.isfinite, vals)):
+        raise ValueError(f"targets: expected 4 finite real numbers, got {targets!r}")
     if any(v < -ENTRY_EPS for v in vals):
         raise ValueError(f"target probabilities must be nonnegative: {vals}")
     v0, v1, v2, v3 = vals
