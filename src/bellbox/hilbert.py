@@ -47,14 +47,16 @@ measurement once, and every vessel model reuses it.  Each
 and :func:`is_product_operator` read.
 
 A :class:`Construction` owns its check, its predictions and its
-verification.  One given by its measurements is predicted from their Born
-tables alone, as tuples.  Its Bell value is the CHSH combination of the
-expectations sum x_k p_k (``bell._reference_combination``, which also
-builds each entry of :func:`bell_operator`), which equals <s|B|s> by
-linearity, and its Hermiticity residuals are 0.0: an operator in spectral
-form with real outcomes is Hermitian bit for bit, since entries (i, j) and
-(j, i) add the same products, conjugated.  So no operator matrix is built
-to verify it; :attr:`Measurement.operator` builds one on request.
+verification, and predicts when it is built: the loop that checks each
+setting pair's entry also computes its prediction.  One given by its
+measurements is predicted from their Born tables alone, as tuples.  Its
+Bell value is the CHSH combination of the expectations sum x_k p_k
+(``bell._reference_combination``, which also builds each entry of
+:func:`bell_operator`), which equals <s|B|s> by linearity, and its
+Hermiticity residuals are 0.0: an operator in spectral form with real
+outcomes is Hermitian bit for bit, since entries (i, j) and (j, i) add the
+same products, conjugated.  So no operator matrix is built to verify it;
+:attr:`Measurement.operator` builds one on request.
 """
 
 from __future__ import annotations
@@ -386,16 +388,6 @@ determine final states).  ``tolerance`` decided ``passed`` and ``iso``
 the entanglement flags.
 """
 
-ModelPredictions = namedtuple("ModelPredictions", "predicted hermiticity_residuals bell_value")
-ModelPredictions.__doc__ = """What a construction predicts, whatever the data and the isomorphism.
-
-``predicted`` holds per setting pair the Born probabilities in cell order
-(a construction with ``measurements``) or the expectation value <s|E|s>
-(one known only through ``operators``).  ``bell_value`` is the CHSH
-combination of the per-pair expectations: a float from the Born tables,
-or the complex sum of the quadratic forms <s|E|s>.
-"""
-
 
 class Construction(Value):
     """A state with a measurement, or an operator, for each setting pair.
@@ -407,11 +399,13 @@ class Construction(Value):
     pair, such as ``measurements.AB``, refuses an entry that is not a
     Measurement of that pair (or not a CMatrix in ``operators``).
     ``product_tol`` decides when a measurement or operator counts as
-    entangled.  The construction is immutable, so its :attr:`predictions`,
-    which depend on neither the data nor the isomorphism, are computed on
-    first use and kept, as are its entanglement flags, per pairing class:
-    each :meth:`verify` call adds only the data comparison and the flags of
-    a class not seen before.  Each verdict gets dicts of its own.
+    entangled.  The loop that checks each pair's entry also computes its
+    prediction (an operator product that overflows is refused there, by the
+    :class:`CVector` it would make).  The construction keeps the
+    predictions, which depend on neither the data nor the isomorphism, and
+    its entanglement flags, per pairing class, outside its fields: each
+    :meth:`verify` call adds only the data comparison and the flags of a
+    class not seen before.  Each verdict gets dicts of its own.
     """
 
     _fields = ("state", "measurements", "operators", "product_tol")
@@ -429,48 +423,38 @@ class Construction(Value):
             raise ValueError("operators: must be None when measurements are given")
         if measurements is None and operators is None:
             raise ValueError("measurements: a construction needs measurements or operators")
+        predicted, expectations = {}, {}
         if measurements is not None:
             if not isinstance(measurements, Mapping):
                 raise ValueError(f"measurements: expected a mapping, got {measurements!r}")
+            amplitudes = state.vector.amplitudes
             for pair in PAIR_ORDER:
                 measurement = measurements.get(pair)
                 if not isinstance(measurement, Measurement) or measurement.pair is not pair:
                     raise ValueError(f"measurements.{pair.label}: no Measurement of {pair.label}")
-        else:
-            if not isinstance(operators, Mapping):
-                raise ValueError(f"operators: expected a mapping, got {operators!r}")
-            for pair in PAIR_ORDER:
-                if not isinstance(operators.get(pair), CMatrix):
-                    raise ValueError(f"operators.{pair.label}: not a CMatrix")
-        vars(self).update(
-            state=state, measurements=measurements, operators=operators, product_tol=product_tol
-        )
-        # Isomorphism._pairing -> (measurement or operator flags, state flag)
-        vars(self)["_flags"] = {}
-
-    @cached_property
-    def predictions(self) -> ModelPredictions:
-        """From the four Born tables (each pair's expectation is
-        0.0 + x0 p0 + x1 p1 + x2 p2 + x3 p3 over its outcomes x, each
-        Hermiticity residual 0.0), or from the quadratic forms <s|E|s> and
-        the measured Hermiticity residuals."""
-        measurements, operators, state = self.measurements, self.operators, self.state
-        if measurements is not None:
-            amplitudes = state.vector.amplitudes
-            predicted = {}
-            expectations = {}
-            for pair in PAIR_ORDER:
-                measurement = measurements[pair]
                 predicted[pair] = probabilities = _born_probabilities(amplitudes, measurement)
                 p0, p1, p2, p3 = probabilities
                 x0, x1, x2, x3 = measurement.outcomes
                 expectations[pair] = 0.0 + x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3
             hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
         else:
-            expectations = {p: quadratic_form(operators[p], state.vector) for p in PAIR_ORDER}
-            predicted = {p: z.real for p, z in expectations.items()}
-            hermiticity = {p: hermiticity_residual(operators[p]) for p in PAIR_ORDER}
-        return ModelPredictions(predicted, hermiticity, _reference_combination(expectations))
+            if not isinstance(operators, Mapping):
+                raise ValueError(f"operators: expected a mapping, got {operators!r}")
+            hermiticity = {}
+            for pair in PAIR_ORDER:
+                operator = operators.get(pair)
+                if not isinstance(operator, CMatrix):
+                    raise ValueError(f"operators.{pair.label}: not a CMatrix")
+                expectations[pair] = z = quadratic_form(operator, state.vector)
+                predicted[pair] = z.real
+                hermiticity[pair] = hermiticity_residual(operator)
+        # _predicted, _hermiticity, _bell_value: the predictions, for any data and
+        # isomorphism; _flags: Isomorphism._pairing -> (entry flags, state flag)
+        vars(self).update(
+            state=state, measurements=measurements, operators=operators, product_tol=product_tol,
+            _predicted=predicted, _hermiticity=hermiticity,
+            _bell_value=_reference_combination(expectations), _flags={},
+        )
 
     def verify(
         self, data: Experiment, tol: float, iso: Isomorphism = CANONICAL_ISO
@@ -501,24 +485,23 @@ class Construction(Value):
                     entangled[pair] = not is_product_operator(operators[pair], iso, product_tol)
             flags = self._flags[iso._pairing] = (entangled, not is_product_vector(self.state, iso))
         entangled, state_entangled = flags
-        predictions = self.predictions
         residuals = {}
         for pair in PAIR_ORDER:
             observed = data.table(pair)
-            predicted = predictions.predicted[pair]
+            predicted = self._predicted[pair]
             if measurements is not None:
                 p0, p1, p2, p3 = predicted
                 o0, o1, o2, o3 = observed.values
                 residuals[pair] = max(abs(p0 - o0), abs(p1 - o1), abs(p2 - o2), abs(p3 - o3))
             else:
                 residuals[pair] = abs(predicted - expectation_value(observed))
-        bell_value = predictions.bell_value
+        bell_value = self._bell_value
         return ModelVerdict(
             residual_kind="probabilities" if measurements is not None else "expectations",
             residuals=residuals,
             measurement_entangled=dict(entangled),
             state_entangled=state_entangled,
-            hermiticity_residuals=dict(predictions.hermiticity_residuals),
+            hermiticity_residuals=dict(self._hermiticity),
             chsh_from_model=bell_value.real,
             chsh_imag_residual=abs(bell_value.imag),
             tolerance=tol,

@@ -40,13 +40,13 @@ TEXT_TYPES = (str, bytes, bytearray, memoryview)
 def _numbers(values: object, convert: Callable[[object], object]) -> tuple | None:
     """``values`` as a tuple of four entries, each through ``convert``; ``None``
     when ``values`` is text or a byte buffer, does not iterate, holds an
-    entry ``convert`` refuses with a TypeError or ValueError, or has some
-    other count."""
+    entry ``convert`` refuses with a TypeError, ValueError or OverflowError
+    (an int too large for a float), or has some other count."""
     if isinstance(values, TEXT_TYPES):
         return None
     try:
         numbers = tuple(map(convert, values))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return numbers if len(numbers) == DIM else None
 
@@ -84,10 +84,10 @@ class CVector(Value):
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return CVector(z / n for z in self.amplitudes)
+        return CVector([z / n for z in self.amplitudes])
 
     def scaled(self, factor: complex) -> CVector:
-        return CVector(factor * z for z in self.amplitudes)
+        return CVector([factor * z for z in self.amplitudes])
 
 
 CANONICAL_BASIS = tuple(
@@ -122,7 +122,7 @@ def inner(u: CVector, v: CVector) -> complex:
 def apply(m: CMatrix, v: CVector) -> CVector:
     """Matrix-vector product m @ v."""
     v0, v1, v2, v3 = v.amplitudes
-    return CVector(0j + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m.rows)
+    return CVector([0j + r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 for r0, r1, r2, r3 in m.rows])
 
 
 def hermiticity_residual(m: CMatrix) -> float:

@@ -68,9 +68,9 @@ class NamedModel(Construction):
     distributions.  ``alpha`` and ``beta`` are the phases the construction
     was built with (0 for one that has none).
 
-    Its own reference data, like its predictions, is built on first use
-    and kept: :meth:`verify` checks against it when given no data, and
-    with the model's ``tolerance`` when given none.
+    Its own reference data is built on first use and kept: :meth:`verify`
+    checks against it when given no data, and with the model's
+    ``tolerance`` when given none.
     """
 
     _fields = (

@@ -1,5 +1,6 @@
-"""One boundary table: each site that takes four numbers, and each
-entanglement kernel's ``iso``, against hostile input.
+"""One boundary table: each site that takes four numbers, each
+entanglement kernel's ``iso``, and two products that overflow, against
+hostile input.
 
 A row names a site and an input, and expects either acceptance, with a
 value equal to the one the site gives for the clean input, or an exact
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from bellbox.hilbert import (
+    Construction,
     Measurement,
     StateVector,
     is_entangled_measurement,
@@ -27,9 +29,9 @@ from bellbox.hilbert import (
     realign,
     schmidt_coefficients,
 )
-from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector
+from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector, apply
 from bellbox.models import basis_from_probabilities
-from bellbox.tables import NegativeEntryError, SettingPair, TableError, normalize
+from bellbox.tables import PAIR_ORDER, NegativeEntryError, SettingPair, TableError, normalize
 
 OK = "accepted"
 NO = "refused as not four numbers"
@@ -89,6 +91,13 @@ SITES = {
         _same, lambda iso: is_product_operator(IDENTITY, iso), ValueError, _ISO
     ),
     "realign": Site(_same, lambda iso: realign(IDENTITY, iso), ValueError, _ISO),
+    "apply": Site(_same, lambda m: apply(m, CVector([1e308, 0, 0, 0])), ValueError, None),
+    "Construction-operators": Site(
+        _same,
+        lambda m: Construction(StateVector.of([0.5] * 4), None, dict.fromkeys(PAIR_ORDER, m)),
+        ValueError,
+        None,
+    ),
 }
 
 #: The sites every input of :data:`GRID` goes to, in the order of its columns.
@@ -128,6 +137,7 @@ GRID = [
     ("complex", (1 + 0j, 0, 0, 0), OK, OK, OK, NO, NO, NO),
     ("nested", ((1,), (0,), (0,), (0,)), NO, NO, NO, NO, NO, NO),
     ("signaling-nan", (Decimal("sNaN"), 0, 0, 0), NO, NO, NO, NO, NO, NO),
+    ("int-overflow", (10**400, 0, 0, 0), NO, NO, NO, NO, NO, NO),
     ("generator", lambda: (x for x in (1, 0, 0, 0)), OK, OK, OK, OK, OK, OK),
     ("decimal", tuple(map(Decimal, (1, 0, 0, 0))), OK, OK, OK, OK, OK, OK),
     ("fraction", tuple(map(Fraction, (1, 0, 0, 0))), OK, OK, OK, OK, OK, OK),
@@ -136,6 +146,11 @@ GRID = [
     ("dict", dict.fromkeys((0.5, 0.375, 0.125, 0.0)), OK,
      (ValueError, "state norm 0.6373774391990981 is not 1 within 1e-09"), OK, OK, OK, OK),
 ]
+
+#: the message of a product whose four amplitudes overflow
+_INF_AMPLITUDES = (
+    "amplitudes: expected 4 finite numbers, got [(inf+0j), (inf+0j), (inf+0j), (inf+0j)]"
+)
 
 #: one object, so that the refused rows and the message show the same repr
 _MEMORYVIEW_ROW = memoryview(b"0100")
@@ -169,6 +184,12 @@ ROWS = [
     ("targets", "memoryview-0001", memoryview(b"\x01\x00\x00\x00"), NO),
     ("targets", "bytearray-entries", (bytearray(b"0.25"),) * 4, NO),
     ("targets", "memoryview-entry", (0.25, 0.25, memoryview(b"0.25"), 0.25), NO),
+    ("targets", "fraction-overflow", (Fraction(10**400), 0, 0, 0), NO),
+    # a product that overflows shows the amplitudes it computed; an operator
+    # construction computes its predictions, and so overflows, when it is built
+    ("apply", "overflow", CMatrix([[1e308] * 4] * 4), (ValueError, _INF_AMPLITUDES)),
+    ("Construction-operators", "overflow", CMatrix([[1e308] * 4] * 4),
+     (ValueError, _INF_AMPLITUDES)),
 ]
 
 ROWS += [

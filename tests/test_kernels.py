@@ -196,7 +196,7 @@ class TestMeasurement:
         assert clamped
 
     def test_born_kernel_is_the_joint_table(self):
-        # Construction.predictions reads the kernel's tuple; born_probabilities wraps
+        # a Construction predicts from the kernel's tuple; born_probabilities wraps
         # the same floats in a JointTable
         states = _unit_vectors(26)
         for basis in _bases(27):

@@ -302,6 +302,8 @@ class TestVerifyOnce:
         calls = self._counters(count_calls)
         calls["_born_probabilities"] = count_calls(hilbert, "_born_probabilities")
         model = vessels_model(0.3, 0.8)
+        # the construction predicts when it is built
+        assert calls["_born_probabilities"][0] == 4
         for iso in ISOS:
             model.verify(vessels_data().experiment, iso=iso)
         counts = {name: c[0] for name, c in calls.items()}
@@ -438,7 +440,6 @@ class TestVerifyOnce:
         first.hermiticity_residuals[SettingPair.AB] = 99.0
         second = model.verify()
         assert second.hermiticity_residuals[SettingPair.AB] != 99.0
-        assert model.predictions.hermiticity_residuals[SettingPair.AB] != 99.0
 
     @pytest.mark.parametrize("build", [vessels_model, animal_acts_model])
     def test_verdicts_do_not_share_the_kept_flags(self, build):

@@ -24,7 +24,6 @@ from bellbox.hilbert import (
     Construction,
     Isomorphism,
     Measurement,
-    ModelPredictions,
     ModelVerdict,
     StateVector,
     is_product_operator,
@@ -323,20 +322,6 @@ CASES = [
         hashable=False,
     ),
     Case(
-        ModelPredictions,
-        {
-            "predicted": lambda: {p: 1.0 for p in PAIR_ORDER},
-            "hermiticity_residuals": lambda: {p: 0.0 for p in PAIR_ORDER},
-            "bell_value": 2 + 0j,
-        },
-        {
-            "predicted": lambda: {p: (0.25, 0.25, 0.25, 0.25) for p in PAIR_ORDER},
-            "hermiticity_residuals": lambda: {p: 0.5 for p in PAIR_ORDER},
-            "bell_value": 4 + 1j,
-        },
-        hashable=False,
-    ),
-    Case(
         Fixture,
         {
             "name": "f",
@@ -378,7 +363,7 @@ CASES = [
 
 def test_every_former_dataclass_is_covered():
     # Construction is the one value class that was never a dataclass
-    assert len({case.cls for case in CASES} - {Construction}) == 18
+    assert len({case.cls for case in CASES} - {Construction}) == 17
 
 
 @pytest.mark.parametrize("case", CASES, ids=repr)
@@ -466,7 +451,7 @@ def test_cached_values_take_no_part_in_equality():
     assert fresh == used and hash(fresh) == hash(used)
     case = next(c for c in CASES if c.cls is NamedModel)
     fresh, used = case.build(), case.build()
-    assert used.predictions is used.predictions
+    used.verify()
     assert fresh == used
 
 
