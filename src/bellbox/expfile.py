@@ -21,6 +21,13 @@ rounding write.  ``repr`` round-trips exactly, so written files reproduce
 the in-memory tables bit for bit.  :func:`write_experiment` fills one fixed
 layout (see :func:`_layout`) and writes what ``json.dumps(..., indent=2)``
 writes for the document; only the metadata goes through ``json.dumps``.
+The text is ASCII, in the bytes ``Path.write_text`` writes.  An existing
+file is overwritten in place and then cut to the new length, not cut to
+zero first: on ext4, closing a file cut to zero starts its writeback
+(``auto_da_alloc``), ≈75–140 µs a rewrite against ≈4–7 µs in place.
+Neither this write nor ``Path.write_text`` calls ``fsync`` or is atomic; a
+caller who needs atomicity writes a temporary file and moves it with
+``os.replace``, which on ext4 pays the same writeback.
 
 A file is read as bytes and decoded as UTF-8 once; ``\\r\\n`` and a lone
 ``\\r`` then become ``\\n``, as in a text-mode read, so the text parsed (and
@@ -40,6 +47,7 @@ import os
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import NUMBER_RE
+from stat import S_ISREG
 
 from .tables import (
     DEFAULT_NORM_TOL,
@@ -177,7 +185,9 @@ def write_experiment(
     repeat a key raise :class:`ExperimentFileError`, and metadata that
     ``json.dumps`` cannot encode raises what it raises, before the file is
     opened.  ``path``, a ``str`` or path-like (an int is a :class:`TypeError`,
-    not a file descriptor), is written as ``Path.write_text`` writes."""
+    not a file descriptor), gets the bytes and, if created, the mode that
+    ``Path.write_text`` gives; an existing file is overwritten in place, and
+    a longer regular file cut to the new length (see the module docstring)."""
     sides = experiment.sides
     for side, labels in zip(("first", "second"), sides):
         # JSON reads a surrogate pair written as two lone surrogates as one character
@@ -190,8 +200,12 @@ def write_experiment(
         raise _fail(path, where, f"duplicate key {key!r}")
     values = [value for table in experiment.tables for value in table.values]
     text = _FILE_LAYOUT % (*map(_quote, sides[0] + sides[1]), *values, meta)
-    with open(os.fspath(path), "w", encoding="utf-8") as file:
-        file.write(text)
+    data = text.encode()  # ASCII: labels and metadata are escaped
+    with open(os.open(os.fspath(path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        old = os.fstat(file.fileno())
+        file.write(data)
+        if S_ISREG(old.st_mode) and old.st_size > len(data):
+            file.truncate(len(data))
 
 
 def read_experiment(

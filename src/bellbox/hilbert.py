@@ -73,6 +73,7 @@ from .linalg import (
     CVector,
     _numbers,
     _real,
+    _shown,
     hermiticity_residual,
     quadratic_form,
 )
@@ -200,7 +201,7 @@ class Measurement(Value):
             raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
         values = _numbers(outcomes, _real)
         if values is None or not all(map(math.isfinite, values)):
-            raise ValueError(f"outcomes must be 4 finite real numbers, got {outcomes!r}")
+            raise ValueError(f"outcomes must be 4 finite real numbers, got {_shown(outcomes)}")
         amplitudes = [f.amplitudes for f in final_states]
         conjugates = tuple([tuple([z.conjugate() for z in a]) for a in amplitudes])
         for i in range(4):

@@ -8,7 +8,8 @@ iterate, an entry the conversion refuses and any count but four are not
 four numbers.  Every constructor that takes four numbers calls it, each
 with its own conversion: ``complex`` here, so ``"1"`` or ``"1+2j"`` is an
 amplitude, ``float`` in ``tables.normalize``, and :func:`_real` for
-outcomes and targets.  A :class:`CVector` takes four finite amplitudes and
+outcomes and targets; each refusal shows its input by :func:`_shown`.
+A :class:`CVector` takes four finite amplitudes and
 a :class:`CMatrix` four rows, each taken as a :class:`CVector` takes its
 amplitudes; each checks once, on construction, with a :class:`ValueError`
 that names ``amplitudes`` or ``rows``, and no function here or in
@@ -51,6 +52,16 @@ def _numbers(values: object, convert: Callable[[object], object]) -> tuple | Non
     return numbers if len(numbers) == DIM else None
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for a refusal message, or ``<T too large to print>``,
+    T its type's name, when the repr raises a ValueError, as for an int of
+    more than ``sys.get_int_max_str_digits()`` digits or a tuple holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _real(x: object) -> float:
     """``float(x)``, but a TypeError for text or a byte buffer, which ``float`` parses."""
     if isinstance(x, TEXT_TYPES):
@@ -67,7 +78,7 @@ class CVector(Value):
     def __init__(self, amplitudes: Iterable[object]) -> None:
         amps = _numbers(amplitudes, complex)
         if amps is None or not all(map(cmath.isfinite, amps)):
-            raise ValueError(f"amplitudes: expected {DIM} finite numbers, got {amplitudes!r}")
+            raise ValueError(f"amplitudes: expected {DIM} finite numbers, got {_shown(amplitudes)}")
         vars(self)["amplitudes"] = amps
 
     def __iter__(self):
@@ -104,7 +115,9 @@ class CMatrix(Value):
     def __init__(self, rows: Iterable[Iterable[object]]) -> None:
         vectors = _numbers(rows, CVector)
         if vectors is None:
-            raise ValueError(f"rows: expected {DIM} rows of {DIM} finite numbers, got {rows!r}")
+            raise ValueError(
+                f"rows: expected {DIM} rows of {DIM} finite numbers, got {_shown(rows)}"
+            )
         vars(self)["rows"] = tuple([v.amplitudes for v in vectors])
 
     def __getitem__(self, i: int) -> tuple[complex, ...]:

@@ -38,7 +38,7 @@ from functools import cache, cached_property
 
 from .bell import ZooClass
 from .hilbert import CANONICAL_ISO, Construction, Measurement, StateVector
-from .linalg import CANONICAL_BASIS, CMatrix, CVector, _numbers, _real
+from .linalg import CANONICAL_BASIS, CMatrix, CVector, _numbers, _real, _shown
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
 
 #: Entrywise tolerance when comparing against operator matrices that are
@@ -336,7 +336,7 @@ def basis_from_probabilities(
         raise ValueError(f"state: expected a StateVector, got {state!r}")
     vals = _numbers(targets, _real)
     if vals is None or not all(map(math.isfinite, vals)):
-        raise ValueError(f"targets: expected 4 finite real numbers, got {targets!r}")
+        raise ValueError(f"targets: expected 4 finite real numbers, got {_shown(targets)}")
     if any(v < -ENTRY_EPS for v in vals):
         raise ValueError(f"target probabilities must be nonnegative: {vals}")
     v0, v1, v2, v3 = vals

@@ -23,7 +23,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 
 from ._value import Value
-from .linalg import _numbers
+from .linalg import _numbers, _shown
 
 # Every tolerance behind a verdict (those of one built-in dataset are in models).
 #: Normalization: how far a raw table's sum may miss 1 (rounded tables).
@@ -189,7 +189,7 @@ def normalize(
         raise TableError(f"pair must be a SettingPair, got {pair!r}")
     vals = _numbers(values, float)
     if vals is None:
-        raise TableError(f"values: expected 4 probabilities, got {values!r}")
+        raise TableError(f"values: expected 4 probabilities, got {_shown(values)}")
     p11, p12, p21, p22 = vals
     inf = math.inf
     if not (0.0 <= p11 < inf and 0.0 <= p12 < inf and 0.0 <= p21 < inf and 0.0 <= p22 < inf):

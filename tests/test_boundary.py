@@ -6,9 +6,10 @@ A row names a site and an input, and expects either acceptance, with a
 value equal to the one the site gives for the clean input, or an exact
 exception type and message.  A site that refuses input that is not four
 numbers raises one message, which names its field and shows the repr of
-what it was given.  The rows that accept ``Decimal``, ``Fraction``, bool,
-``array('d')``, generator and dict input pin what the sites take today;
-they decide no policy.
+what it was given, or, when that repr cannot be made (an int of more than
+4300 digits), the name of its type.  The rows that accept ``Decimal``,
+``Fraction``, bool, ``array('d')``, generator and dict input pin what the
+sites take today; they decide no policy.
 """
 
 import math
@@ -35,13 +36,18 @@ from bellbox.tables import PAIR_ORDER, NegativeEntryError, SettingPair, TableErr
 
 OK = "accepted"
 NO = "refused as not four numbers"
+TOO_LARGE = "refused as not four numbers, with a repr too large to print"
+
+#: an int whose repr raises ValueError (more than 4300 digits)
+HUGE = 10**5000
 
 E0 = CANONICAL_BASIS[0]
 IDENTITY = CMatrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 #: ``argument`` makes the site's argument from an input, ``call`` calls the
 #: site with it, and a refusal of input that is not four numbers raises
-#: ``error`` with ``prefix`` followed by the argument's repr.
+#: ``error`` with ``prefix`` followed by the argument's repr (or, for
+#: :data:`TOO_LARGE`, ``<T too large to print>`` with T its type's name).
 Site = namedtuple("Site", "argument call error prefix")
 
 
@@ -138,6 +144,7 @@ GRID = [
     ("nested", ((1,), (0,), (0,), (0,)), NO, NO, NO, NO, NO, NO),
     ("signaling-nan", (Decimal("sNaN"), 0, 0, 0), NO, NO, NO, NO, NO, NO),
     ("int-overflow", (10**400, 0, 0, 0), NO, NO, NO, NO, NO, NO),
+    ("int-huge", (HUGE, 0, 0, 0), *[TOO_LARGE] * 6),
     ("generator", lambda: (x for x in (1, 0, 0, 0)), OK, OK, OK, OK, OK, OK),
     ("decimal", tuple(map(Decimal, (1, 0, 0, 0))), OK, OK, OK, OK, OK, OK),
     ("fraction", tuple(map(Fraction, (1, 0, 0, 0))), OK, OK, OK, OK, OK, OK),
@@ -185,6 +192,7 @@ ROWS = [
     ("targets", "bytearray-entries", (bytearray(b"0.25"),) * 4, NO),
     ("targets", "memoryview-entry", (0.25, 0.25, memoryview(b"0.25"), 0.25), NO),
     ("targets", "fraction-overflow", (Fraction(10**400), 0, 0, 0), NO),
+    ("targets", "fraction-huge", (Fraction(HUGE), 0, 0, 0), TOO_LARGE),
     # a product that overflows shows the amplitudes it computed; an operator
     # construction computes its predictions, and so overflows, when it is built
     ("apply", "overflow", CMatrix([[1e308] * 4] * 4), (ValueError, _INF_AMPLITUDES)),
@@ -221,6 +229,8 @@ def test_boundary(site, given, expected):
     value = argument(given() if callable(given) else given)
     if expected == NO:
         expected = (error, prefix + repr(value))
+    elif expected == TOO_LARGE:
+        expected = (error, f"{prefix}<{type(value).__name__} too large to print>")
     if expected[0] == OK:
         assert call(value) == call(argument(expected[1]))
         return

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,8 @@ from bellbox.report import build_report, render_machine
 from bellbox.tables import SettingPair
 
 FIXTURES = ("animal-acts", "vessels", "vessels-separated")
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -209,6 +215,35 @@ class TestExport:
         code, _, err = run(capsys, "export", "vessels", str(target))
         assert code == 1
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("where", ["is_a_dir", "missing/v.json"])
+    def test_cannot_write_message_is_that_of_open(self, tmp_path, capsys, where):
+        target = tmp_path / where
+        if where == "is_a_dir":
+            target.mkdir()
+        with pytest.raises(OSError) as opened:
+            open(target, "w", encoding="utf-8")
+        code, out, err = run(capsys, "export", "vessels", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: {opened.value}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_export_to_stdout_pipe_gives_the_file_bytes(self, tmp_path):
+        path = tmp_path / "vs.json"
+        assert main(["export", "vessels-separated", str(path)]) == 0
+        # a fresh interpreter, its stdout a pipe
+        piped = subprocess.run(
+            [sys.executable, "-m", "bellbox.cli", "export", "vessels-separated", "/dev/stdout"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            check=False,
+        )
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == path.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_export_to_dev_null(self, capsys):
+        assert run(capsys, "export", "vessels-separated", "/dev/null") == (0, "", "")
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

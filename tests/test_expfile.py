@@ -1,11 +1,14 @@
 import json
 import os
+import stat
 
 import pytest
 
 from bellbox.expfile import ExperimentFileError, read_experiment, write_experiment
 from bellbox.models import animal_acts_data, vessels_data
 from bellbox.tables import PAIR_ORDER, Experiment, SettingPair, TableError
+
+from oracles import reference_file_document
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -340,3 +343,53 @@ def test_reader_refuses_an_int_path():
         os.fstat(r)  # still open
     finally:
         os.close(r)
+
+
+# Writing over an existing file: the file is overwritten in place and then
+# cut to the new length, so what is left must be the bytes of a fresh
+# ``Path.write_text`` of the new document, whether the old file was longer
+# or shorter.
+
+_LONG_METADATA = {"source": "animal-acts", "notes": "a long note " * 200}
+
+
+def _reference_bytes(tmp_path, experiment, metadata):
+    text = json.dumps(reference_file_document(experiment, metadata), indent=2) + "\n"
+    reference = tmp_path / "reference.json"
+    reference.write_text(text, encoding="utf-8")
+    return reference.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [(_LONG_METADATA, {"source": "vessels"}), ({"source": "vessels"}, _LONG_METADATA)],
+    ids=["longer-then-shorter", "shorter-then-longer"],
+)
+def test_overwrite_gives_the_bytes_of_a_fresh_write(tmp_path, first, second):
+    path = tmp_path / "exp.json"
+    write_experiment(path, animal_acts_data().experiment, first)
+    write_experiment(path, vessels_data().experiment, second)
+    assert path.read_bytes() == _reference_bytes(tmp_path, vessels_data().experiment, second)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+def test_created_file_has_the_mode_of_write_text(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_experiment(tmp_path / "written.json", vessels_data().experiment)
+        (tmp_path / "reference.json").write_text("{}", encoding="utf-8")
+    finally:
+        os.umask(old)
+    written = stat.S_IMODE((tmp_path / "written.json").stat().st_mode)
+    assert written == stat.S_IMODE((tmp_path / "reference.json").stat().st_mode)
+    assert written == 0o666 & ~umask
+
+
+def test_symlinked_destination_is_written_through_the_link(tmp_path):
+    target = tmp_path / "target.json"
+    write_experiment(target, animal_acts_data().experiment, _LONG_METADATA)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_experiment(link, vessels_data().experiment)
+    assert link.is_symlink()
+    assert target.read_bytes() == _reference_bytes(tmp_path, vessels_data().experiment, {})

@@ -12,8 +12,8 @@ they are never evaluated, so no module imports ``typing`` or ``pathlib`` for
 them, nor a name of a sibling module that nothing else uses (an AST check).
 ``typing`` and ``pathlib`` are checked under ``python -S``, because a
 ``site`` that already imports ``typing`` (a ``.pth`` file can) would hide an
-import made by bellbox.  The experiment file is written with ``open``, in
-the bytes that ``Path.write_text`` writes.
+import made by bellbox.  The experiment file is written with ``os.open``
+and ``open``, in the bytes that ``Path.write_text`` writes.
 """
 
 import ast
