@@ -37,13 +37,19 @@ Input is checked here, at the boundary, once: :func:`read_experiment`
 checks the document's keys, labels and decimal strings, and hands each row
 to :func:`tables.normalize`, which checks the values and builds the table;
 nothing downstream checks them again.  Each rejection is an
-:class:`ExperimentFileError` that names its field.
+:class:`ExperimentFileError` that names its field, or the line and column
+where the JSON stops parsing: at a syntax error, or at an integer longer
+than ``int`` converts (``sys.get_int_max_str_digits()``).  Arrays or
+objects nested deeper than the parser recurses are refused too; neither
+limit is changed here.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import NUMBER_RE
@@ -121,16 +127,41 @@ def _parse(text: str) -> tuple[object, bool]:
 
 def _find_repeated(node: dict | list, where: str) -> tuple[str, str] | None:
     """Field path and key of the first object in ``node`` (a JSON object or
-    array) that repeats a key; paths are dotted, as in ``tables.AB``."""
-    if isinstance(node, _RepeatedKeys):
-        return where, node.key
-    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-        if isinstance(child, (dict, list)):
-            field = key if where == "document" else f"{where}.{key}"
-            found = _find_repeated(child, field)
-            if found is not None:
-                return found
+    array), in document order, that repeats a key; paths are dotted, as in
+    ``tables.AB``.  The walk keeps its own stack, so any depth the parser
+    reached is walked."""
+    stack = [(node, where)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, _RepeatedKeys):
+            return where, node.key
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        children = [
+            (child, key if where == "document" else f"{where}.{key}")
+            for key, child in items
+            if isinstance(child, (dict, list))
+        ]
+        stack.extend(reversed(children))
     return None
+
+
+#: A JSON string, or a JSON number with its integer digits, fraction and
+#: exponent in groups 1 to 3; compiled on first use, on the error path only.
+_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
+
+
+def _long_integer(text: str) -> json.JSONDecodeError:
+    """The error for ``text``, whose parse stopped at an integer with more
+    digits than ``int`` converts (``sys.get_int_max_str_digits()``), at the
+    first such integer.  All text before it parsed, so it is found by
+    skipping strings."""
+    limit = sys.get_int_max_str_digits()
+    for token in re.finditer(_TOKEN, text):
+        digits, fraction, exponent = token.groups()
+        if digits is not None and fraction is None and exponent is None and len(digits) > limit:
+            break
+    message = f"integer of {len(digits)} digits, more than the {limit} that can be read"
+    return json.JSONDecodeError(message, text, token.start())
 
 
 #: Setting labels in file order, as the ``settings`` field lists them.
@@ -213,7 +244,8 @@ def read_experiment(
 ) -> tuple[Experiment, dict[str, object]]:
     """Parse an experiment file; returns the experiment and its metadata.
 
-    Checks, in order: JSON without repeated keys; the version, the integer
+    Checks, in order: JSON that parses (see the module docstring) without
+    repeated keys; the version, the integer
     1; two distinct string labels per side (the check :class:`Experiment`
     makes, not made again); the settings; per table, each outcome label
     with a decimal string, no other label, and the row by
@@ -231,8 +263,11 @@ def read_experiment(
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc, repeats = _parse(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(path, f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError as exc:
+        raise _fail(path, "document", "arrays or objects nested too deeply to read") from exc
+    except ValueError as exc:  # a syntax error, or an integer too long for int()
+        error = exc if isinstance(exc, json.JSONDecodeError) else _long_integer(text)
+        raise _fail(path, f"line {error.lineno}, column {error.colno}", error.msg) from exc
 
     if not isinstance(doc, dict):
         raise _fail(path, "document", "top level must be a JSON object")

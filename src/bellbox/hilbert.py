@@ -142,7 +142,7 @@ class StateVector(Value):
 
     def __init__(self, vector: CVector) -> None:
         if not isinstance(vector, CVector):
-            raise ValueError(f"vector must be a CVector, got {vector!r}")
+            raise ValueError(f"vector must be a CVector, got {_shown(vector)}")
         n = vector.norm()
         if abs(n - 1.0) > EXACT_TOL:
             raise ValueError(f"state norm {n!r} is not 1 within {EXACT_TOL}")
@@ -195,10 +195,10 @@ class Measurement(Value):
         outcomes: Sequence[float] = COINCIDENCE_OUTCOMES,
     ) -> None:
         if not isinstance(pair, SettingPair):
-            raise ValueError(f"pair must be a SettingPair, got {pair!r}")
+            raise ValueError(f"pair must be a SettingPair, got {_shown(pair)}")
         final_states = tuple(final_states)
         if len(final_states) != 4 or not all(isinstance(f, CVector) for f in final_states):
-            raise ValueError(f"final_states must be 4 CVectors, got {final_states!r}")
+            raise ValueError(f"final_states must be 4 CVectors, got {_shown(final_states)}")
         values = _numbers(outcomes, _real)
         if values is None or not all(map(math.isfinite, values)):
             raise ValueError(f"outcomes must be 4 finite real numbers, got {_shown(outcomes)}")
@@ -289,7 +289,7 @@ def bell_operator(operators: Mapping[SettingPair, CMatrix]) -> CMatrix:
 def _check_iso(iso: object) -> None:
     """Raise a :class:`ValueError` naming ``iso`` unless it is an :class:`Isomorphism`."""
     if not isinstance(iso, Isomorphism):
-        raise ValueError(f"iso: expected an Isomorphism, got {iso!r}")
+        raise ValueError(f"iso: expected an Isomorphism, got {_shown(iso)}")
 
 
 def _det_modulus(amplitudes: tuple[complex, ...], iso: Isomorphism) -> float:
@@ -333,7 +333,7 @@ def _realigned(m: CMatrix, iso: Isomorphism) -> tuple[tuple[complex, ...], ...]:
     ``m`` unless it is a :class:`CMatrix`, and ``iso`` unless it is an
     :class:`Isomorphism`."""
     if not isinstance(m, CMatrix):
-        raise ValueError(f"m: expected a CMatrix, got {m!r}")
+        raise ValueError(f"m: expected a CMatrix, got {_shown(m)}")
     _check_iso(iso)
     rows = m.rows
     return tuple([tuple([rows[k][l] for k, l in line]) for line in iso._realignment])
@@ -419,7 +419,7 @@ class Construction(Value):
         product_tol: float = EXACT_TOL,
     ) -> None:
         if not isinstance(state, StateVector):
-            raise ValueError(f"state: expected a StateVector, got {state!r}")
+            raise ValueError(f"state: expected a StateVector, got {_shown(state)}")
         if measurements is not None and operators is not None:
             raise ValueError("operators: must be None when measurements are given")
         if measurements is None and operators is None:
@@ -427,7 +427,7 @@ class Construction(Value):
         predicted, expectations = {}, {}
         if measurements is not None:
             if not isinstance(measurements, Mapping):
-                raise ValueError(f"measurements: expected a mapping, got {measurements!r}")
+                raise ValueError(f"measurements: expected a mapping, got {_shown(measurements)}")
             amplitudes = state.vector.amplitudes
             for pair in PAIR_ORDER:
                 measurement = measurements.get(pair)
@@ -440,7 +440,7 @@ class Construction(Value):
             hermiticity = dict.fromkeys(PAIR_ORDER, 0.0)
         else:
             if not isinstance(operators, Mapping):
-                raise ValueError(f"operators: expected a mapping, got {operators!r}")
+                raise ValueError(f"operators: expected a mapping, got {_shown(operators)}")
             hermiticity = {}
             for pair in PAIR_ORDER:
                 operator = operators.get(pair)
@@ -473,7 +473,7 @@ class Construction(Value):
         :class:`ValueError` naming the argument.
         """
         if not isinstance(data, Experiment):
-            raise ValueError(f"data: expected an Experiment, got {data!r}")
+            raise ValueError(f"data: expected an Experiment, got {_shown(data)}")
         _check_iso(iso)
         measurements, operators, product_tol = self.measurements, self.operators, self.product_tol
         flags = self._flags.get(iso._pairing)

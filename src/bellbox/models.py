@@ -12,6 +12,10 @@ Three datasets ship with the toolkit:
 * ``vessels-separated`` - the same vessels with the connecting tube
   removed, which drops the CHSH combination back to the classical bound.
 
+A dataset is kept as data: its raw tables in :data:`REGISTRY`.  Its CHSH
+value and Zoo class are what bellbox computes from it; the figures above
+are checked by the tests, not stored here.
+
 Each dataset that admits one comes with an explicit C^4 construction:
 a state plus four measurements (or operators) reproducing its
 probabilities, as a :class:`NamedModel`, the ``hilbert.Construction``
@@ -36,7 +40,6 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping
 from functools import cache, cached_property
 
-from .bell import ZooClass
 from .hilbert import CANONICAL_ISO, Construction, Measurement, StateVector
 from .linalg import CANONICAL_BASIS, CMatrix, CVector, _numbers, _real, _shown
 from .tables import ENTRY_EPS, EXACT_TOL, PAIR_ORDER, Experiment, SettingPair, normalize
@@ -53,8 +56,8 @@ ANIMAL_ACTS_MODEL_TOL = 0.03
 EXACT_MODEL_TOL = EXACT_TOL
 
 
-Fixture = namedtuple("Fixture", "name experiment expected_chsh chsh_tol expected_class")
-Fixture.__doc__ = """A named reference experiment with its expected analysis results."""
+Fixture = namedtuple("Fixture", "name experiment")
+Fixture.__doc__ = """A built-in dataset: its registry name and its experiment."""
 
 
 class NamedModel(Construction):
@@ -216,13 +219,6 @@ def vessels_data() -> Fixture:
     return get_fixture("vessels")
 
 
-def vessels_separated_data() -> Fixture:
-    """Vessels with the tube removed: the anti-correlation for AB stays,
-    and the perfect correlation of A'B flips to anti-correlation
-    (CHSH = 2)."""
-    return get_fixture("vessels-separated")
-
-
 def vessels_model(alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
     """Construction with the entanglement in the state.
 
@@ -333,7 +329,7 @@ def basis_from_probabilities(
     names them.
     """
     if not isinstance(state, StateVector):
-        raise ValueError(f"state: expected a StateVector, got {state!r}")
+        raise ValueError(f"state: expected a StateVector, got {_shown(state)}")
     vals = _numbers(targets, _real)
     if vals is None or not all(map(math.isfinite, vals)):
         raise ValueError(f"targets: expected 4 finite real numbers, got {_shown(targets)}")
@@ -370,47 +366,36 @@ def basis_from_probabilities(
 # ---------------------------------------------------------------------------
 
 #: Every built-in name -> (dataset, construction builder).  A dataset is
-#: its four raw tables in PAIR_ORDER, each in cell order, its quoted CHSH,
-#: that figure's tolerance and its Zoo class; :func:`get_fixture` builds it.
-#: Either may be None: a name without a dataset is a further construction
-#: on the dataset its model names (``NamedModel.fixture_name``), and a name
-#: without a construction gets a data-only report from the model command.
+#: its four raw tables in PAIR_ORDER, each in cell order; :func:`get_fixture`
+#: builds it.  Either may be None: a name without a dataset is a further
+#: construction on the dataset its model names (``NamedModel.fixture_name``),
+#: and a name without a construction gets a data-only report from the model
+#: command.
 REGISTRY: Mapping[str, tuple[tuple | None, Callable[[float, float], NamedModel] | None]] = {
     "animal-acts": (
-        (
-            tuple(ANIMAL_ACTS_PROBABILITIES[p] for p in PAIR_ORDER),
-            2.421656, 1e-6, ZooClass.NONLOCAL_NON_MARGINAL_BOX_1,
-        ),
+        tuple(ANIMAL_ACTS_PROBABILITIES[p] for p in PAIR_ORDER),
         lambda alpha, beta: animal_acts_model(),
     ),
-    "vessels": ((_VESSELS_TABLES, 4.0, 1e-12, ZooClass.NONLOCAL_NON_MARGINAL_BOX_2), vessels_model),
+    "vessels": (_VESSELS_TABLES, vessels_model),
     "vessels-alt": (None, vessels_alternative_model),
-    "vessels-separated": (
-        (
-            # the vessels with A'B flipped
-            _VESSELS_TABLES[:2] + (_ANTI_CORRELATED,) + _VESSELS_TABLES[3:],
-            2.0, 1e-12, ZooClass.KOLMOGOROVIAN_COMPATIBLE,
-        ),
-        None,
-    ),
+    # the vessels with the tube removed: A'B flips to anti-correlation
+    "vessels-separated": (_VESSELS_TABLES[:2] + (_ANTI_CORRELATED,) + _VESSELS_TABLES[3:], None),
 }
 
 
 def get_fixture(name: str) -> Fixture:
     """The dataset ``name`` of :data:`REGISTRY`, each row through
     :func:`tables.normalize`."""
-    data = REGISTRY.get(name, (None, None))[0]
-    if data is None:
+    rows = REGISTRY.get(name, (None, None))[0]
+    if rows is None:
         choices = sorted(n for n, (dataset, _) in REGISTRY.items() if dataset is not None)
-        raise ValueError(f"unknown fixture {name!r}; choose from {choices}")
-    rows, expected_chsh, chsh_tol, expected_class = data
-    tables = tuple(map(normalize, rows, PAIR_ORDER))
-    return Fixture(name, Experiment(tables), expected_chsh, chsh_tol, expected_class)
+        raise ValueError(f"unknown fixture {_shown(name)}; choose from {choices}")
+    return Fixture(name, Experiment(tuple(map(normalize, rows, PAIR_ORDER))))
 
 
 def get_model(name: str, alpha: float = 0.0, beta: float = 0.0) -> NamedModel:
     builder = REGISTRY.get(name, (None, None))[1]
     if builder is None:
         choices = sorted(n for n, (_, model) in REGISTRY.items() if model is not None)
-        raise ValueError(f"unknown model {name!r}; choose from {choices}")
+        raise ValueError(f"unknown model {_shown(name)}; choose from {choices}")
     return builder(alpha, beta)

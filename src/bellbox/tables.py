@@ -106,7 +106,7 @@ class SettingPair(Enum):
         for pair in cls:
             if pair.value == text:
                 return pair
-        raise ValueError(f"unknown setting pair {text!r}")
+        raise ValueError(f"unknown setting pair {_shown(text)}")
 
 
 #: Display order for the four tables of an experiment.
@@ -145,15 +145,15 @@ class JointTable(Value):
         pair: SettingPair = SettingPair.AB,
     ) -> None:
         if not isinstance(pair, SettingPair):
-            raise TableError(f"pair must be a SettingPair, got {pair!r}")
+            raise TableError(f"pair must be a SettingPair, got {_shown(pair)}")
         total = 0.0
         try:
             for label, value in zip(pair.outcome_labels, (p11, p12, p21, p22)):
                 if not (-ENTRY_EPS <= value <= 1.0 + ENTRY_EPS):
-                    raise TableError(f"entry {label} = {value!r} is not a probability")
+                    raise TableError(f"entry {label} = {_shown(value)} is not a probability")
                 total = total + value
         except TypeError:  # the entry does not compare with, or add to, a float
-            raise TableError(f"entry {label} = {value!r} is not a probability") from None
+            raise TableError(f"entry {label} = {_shown(value)} is not a probability") from None
         if not abs(total - 1.0) <= _SUM_TOL:
             raise NotNormalizableError(
                 f"table {pair.label} sums to {total!r}, too far from 1"
@@ -186,7 +186,7 @@ def normalize(
     one, are entries.
     """
     if not isinstance(pair, SettingPair):
-        raise TableError(f"pair must be a SettingPair, got {pair!r}")
+        raise TableError(f"pair must be a SettingPair, got {_shown(pair)}")
     vals = _numbers(values, float)
     if vals is None:
         raise TableError(f"values: expected 4 probabilities, got {_shown(values)}")
@@ -221,7 +221,7 @@ def _check_side(side: str, labels: object) -> None:
         and isinstance(labels[0], str)
         and isinstance(labels[1], str)
     ):
-        raise TableError(f"sides.{side}: expected two string labels: {labels!r}")
+        raise TableError(f"sides.{side}: expected two string labels: {_shown(labels)}")
     if labels[0] == labels[1]:
         raise TableError(f"sides.{side}: repeated label {labels[0]!r}")
 
@@ -240,7 +240,7 @@ class Experiment(Value):
     ) -> None:
         tables = tuple(tables)
         if not all(isinstance(t, JointTable) for t in tables):
-            raise TableError(f"tables: expected JointTables, got {tables!r}")
+            raise TableError(f"tables: expected JointTables, got {_shown(tables)}")
         pairs = tuple(t.pair for t in tables)
         if pairs != PAIR_ORDER:
             raise TableError(
@@ -269,7 +269,7 @@ class Experiment(Value):
         try:
             return self.tables[_POSITION[pair]]
         except KeyError:
-            raise ValueError(f"{pair!r} is not a setting pair") from None
+            raise ValueError(f"{_shown(pair)} is not a setting pair") from None
 
 
 def expectation_value(table: JointTable) -> float:

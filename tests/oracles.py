@@ -35,7 +35,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from bellbox.bell import BOUNDS, CHSH_TERM_ORDER, REFERENCE_SIGNS, ChshResult
+from bellbox.bell import BOUNDS, CHSH_TERM_ORDER, REFERENCE_SIGNS, ChshResult, ZooClass
 from bellbox.expfile import FORMAT_VERSION, ExperimentFileError
 from bellbox.linalg import CMatrix, CVector
 from bellbox.tables import (
@@ -497,6 +497,105 @@ def swap_sides(experiment: Experiment) -> Experiment:
         tables[pair] = JointTable(p11, p21, p12, p22, pair)
     first, second = experiment.sides
     return Experiment.from_tables(tables, sides=(second, first))
+
+
+#: Which setting of each side a pair uses: (first index, second index).
+SETTING_INDICES = {
+    SettingPair.AB: (0, 0),
+    SettingPair.AB_PRIME: (0, 1),
+    SettingPair.A_PRIME_B: (1, 0),
+    SettingPair.A_PRIME_B_PRIME: (1, 1),
+}
+
+#: The pair that uses each (first index, second index).
+_PAIR_AT = {indices: pair for pair, indices in SETTING_INDICES.items()}
+
+#: The 128 relabellings of the CHSH scenario, each a tuple of seven flags:
+#: an outcome flip of A, A', B and B', a swap of the first side's two
+#: settings, of the second side's, and of the two parties.
+RELABELLINGS = tuple(itertools.product((False, True), repeat=7))
+
+
+def relabel_source(element) -> dict[SettingPair, SettingPair]:
+    """For each pair of ``relabel(experiment, element)``, the pair of
+    ``experiment`` whose table it holds."""
+    *_, swap_first, swap_second, swap_parties = element
+    source = {}
+    for pair in PAIR_ORDER:
+        x, y = SETTING_INDICES[pair]
+        if swap_parties:
+            x, y = y, x
+        source[pair] = _PAIR_AT[x ^ swap_first, y ^ swap_second]
+    return source
+
+
+def relabel(experiment: Experiment, element) -> Experiment:
+    """``experiment`` under one of :data:`RELABELLINGS`, the four tables
+    transformed directly: a setting swap moves each table to the pair that
+    now names its settings, an outcome flip exchanges the table's rows (a
+    first-side setting) or columns (a second-side one), and the party swap
+    is :func:`swap_sides`, after the rest."""
+    flip_a, flip_a_prime, flip_b, flip_b_prime, swap_first, swap_second, swap_parties = element
+    tables = {}
+    for pair in PAIR_ORDER:
+        x, y = SETTING_INDICES[pair]
+        x, y = x ^ swap_first, y ^ swap_second
+        p11, p12, p21, p22 = experiment.table(_PAIR_AT[x, y]).values
+        rows = [[p11, p12], [p21, p22]]
+        if (flip_a, flip_a_prime)[x]:
+            rows.reverse()
+        if (flip_b, flip_b_prime)[y]:
+            rows = [row[::-1] for row in rows]
+        tables[pair] = JointTable(*rows[0], *rows[1], pair)
+    relabelled = Experiment.from_tables(tables, sides=experiment.sides)
+    return swap_sides(relabelled) if swap_parties else relabelled
+
+
+# ---------------------------------------------------------------------------
+# seeded boxes
+# ---------------------------------------------------------------------------
+
+#: Each family of :func:`box_rows` and the class its unrounded boxes land
+#: in (None: the unresolved extremal box).
+BOX_FAMILIES = {
+    "local": ZooClass.KOLMOGOROVIAN_COMPATIBLE,
+    "quantum": ZooClass.NONLOCAL_BOX,
+    "signalling-quantum": ZooClass.NONLOCAL_NON_MARGINAL_BOX_1,
+    "signalling-strong": ZooClass.NONLOCAL_NON_MARGINAL_BOX_2,
+    "extremal": None,
+}
+
+
+def box_table(e: float, ma: float, mb: float) -> list[float]:
+    """Cells 11, 12, 21, 22 with correlation ``e`` and biases ``ma``, ``mb``
+    (non-negative when |e| + |ma| + |mb| <= 1)."""
+    return [
+        (1 + ma + mb + e) / 4,
+        (1 + ma - mb - e) / 4,
+        (1 - ma + mb - e) / 4,
+        (1 - ma - mb + e) / 4,
+    ]
+
+
+def box_rows(rng: random.Random, family: str) -> dict[SettingPair, list[float]]:
+    """The four rows of a seeded box of ``family`` (see :data:`BOX_FAMILIES`)."""
+    if family == "local":
+        first = [rng.uniform(-0.25, 0.25) for _ in range(2)]
+        second = [rng.uniform(-0.25, 0.25) for _ in range(2)]
+        return {
+            pair: box_table(rng.uniform(-0.45, 0.45), first[x], second[y])
+            for pair, (x, y) in SETTING_INDICES.items()
+        }
+    strong = family in ("signalling-strong", "extremal")
+    v = rng.uniform(0.8, 0.95) if strong else rng.uniform(0.75, 0.98) / math.sqrt(2)
+    signalling = family.startswith("signalling")
+    rows = {}
+    for pair in PAIR_ORDER:
+        e = -v if pair is SettingPair.AB else v
+        room = (1 - v) / 2
+        ma, mb = (rng.uniform(-room, room), rng.uniform(-room, room)) if signalling else (0.0, 0.0)
+        rows[pair] = box_table(e, ma, mb)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from bellbox.models import (
     vessels_alternative_model,
     vessels_data,
     vessels_model,
-    vessels_separated_data,
 )
 from bellbox.report import build_report, render_machine
 from bellbox.tables import (
@@ -153,7 +152,7 @@ def test_criterion_5_zoo_classification():
     def body():
         assert classify(animal_acts_data().experiment) is ZooClass.NONLOCAL_NON_MARGINAL_BOX_1
         assert classify(vessels_data().experiment) is ZooClass.NONLOCAL_NON_MARGINAL_BOX_2
-        separated = vessels_separated_data().experiment
+        separated = get_fixture("vessels-separated").experiment
         assert classify(separated) is ZooClass.KOLMOGOROVIAN_COMPATIBLE
         assert chsh(separated).reference_combination == 2.0
 

@@ -18,7 +18,7 @@ from bellbox.tables import (
     SettingPair,
     expectation_value,
 )
-from bellbox.models import animal_acts_data, vessels_data, vessels_separated_data
+from bellbox.models import animal_acts_data, get_fixture, vessels_data
 
 from oracles import fine_joint_distribution_exists, outer_product_table, random_table, swap_sides
 
@@ -173,7 +173,7 @@ class TestClassify:
 
     def test_vessels_without_tube(self):
         assert (
-            classify(vessels_separated_data().experiment)
+            classify(get_fixture("vessels-separated").experiment)
             is ZooClass.KOLMOGOROVIAN_COMPATIBLE
         )
 
@@ -205,7 +205,7 @@ class TestClassify:
         fixtures = [
             animal_acts_data().experiment,
             vessels_data().experiment,
-            vessels_separated_data().experiment,
+            get_fixture("vessels-separated").experiment,
         ]
         for _ in range(50):
             fixtures.append(

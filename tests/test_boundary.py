@@ -1,6 +1,6 @@
 """One boundary table: each site that takes four numbers, each
-entanglement kernel's ``iso``, and two products that overflow, against
-hostile input.
+entanglement kernel's ``iso``, two products that overflow, and each site
+that shows a refused input whole, against hostile input.
 
 A row names a site and an input, and expects either acceptance, with a
 value equal to the one the site gives for the clean input, or an exact
@@ -29,10 +29,19 @@ from bellbox.hilbert import (
     is_product_vector,
     realign,
     schmidt_coefficients,
+    verify_model,
 )
 from bellbox.linalg import CANONICAL_BASIS, CMatrix, CVector, apply
-from bellbox.models import basis_from_probabilities
-from bellbox.tables import PAIR_ORDER, NegativeEntryError, SettingPair, TableError, normalize
+from bellbox.models import basis_from_probabilities, get_fixture, get_model
+from bellbox.tables import (
+    PAIR_ORDER,
+    Experiment,
+    JointTable,
+    NegativeEntryError,
+    SettingPair,
+    TableError,
+    normalize,
+)
 
 OK = "accepted"
 NO = "refused as not four numbers"
@@ -43,6 +52,8 @@ HUGE = 10**5000
 
 E0 = CANONICAL_BASIS[0]
 IDENTITY = CMatrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+VESSELS = get_model("vessels")
+VESSELS_DATA = get_fixture("vessels").experiment
 
 #: ``argument`` makes the site's argument from an input, ``call`` calls the
 #: site with it, and a refusal of input that is not four numbers raises
@@ -104,6 +115,55 @@ SITES = {
         ValueError,
         None,
     ),
+    # sites that show a refused input whole, not as four numbers
+    "JointTable": Site(_same, lambda row: JointTable(*row), TableError, None),
+    "JointTable-pair": Site(
+        _same, lambda pair: JointTable(1, 0, 0, 0, pair), TableError,
+        "pair must be a SettingPair, got ",
+    ),
+    "Experiment": Site(_same, Experiment, TableError, "tables: expected JointTables, got "),
+    "Experiment-sides": Site(
+        _same, lambda sides: Experiment(VESSELS_DATA.tables, sides), TableError,
+        "sides.first: expected two string labels: ",
+    ),
+    "Experiment.table": Site(_same, VESSELS_DATA.table, ValueError, None),
+    "SettingPair.from_label": Site(_same, SettingPair.from_label, ValueError, None),
+    "normalize-pair": Site(
+        _same, lambda pair: normalize(CLEAN_INPUT, pair), TableError,
+        "pair must be a SettingPair, got ",
+    ),
+    "Measurement-pair": Site(
+        _same, lambda pair: Measurement(pair, CANONICAL_BASIS), ValueError,
+        "pair must be a SettingPair, got ",
+    ),
+    "final_states": Site(
+        _same, lambda states: Measurement(SettingPair.AB, states), ValueError,
+        "final_states must be 4 CVectors, got ",
+    ),
+    "StateVector": Site(_same, StateVector, ValueError, "vector must be a CVector, got "),
+    "realign-m": Site(_same, realign, ValueError, "m: expected a CMatrix, got "),
+    "verify_model-state": Site(
+        _same, lambda state: verify_model(state, VESSELS.measurements, VESSELS_DATA, 1e-9),
+        ValueError, "state: expected a StateVector, got ",
+    ),
+    "Construction-measurements": Site(
+        _same, lambda measurements: Construction(VESSELS.state, measurements), ValueError,
+        "measurements: expected a mapping, got ",
+    ),
+    "Construction-operators-mapping": Site(
+        _same, lambda operators: Construction(VESSELS.state, None, operators), ValueError,
+        "operators: expected a mapping, got ",
+    ),
+    "Construction.verify-data": Site(
+        _same, lambda data: VESSELS.verify(data), ValueError, "data: expected an Experiment, got "
+    ),
+    "Construction.verify": Site(_same, lambda iso: VESSELS.verify(iso=iso), ValueError, _ISO),
+    "basis_from_probabilities-state": Site(
+        _same, lambda state: basis_from_probabilities(state, CLEAN_INPUT), ValueError,
+        "state: expected a StateVector, got ",
+    ),
+    "get_fixture": Site(_same, get_fixture, ValueError, None),
+    "get_model": Site(_same, get_model, ValueError, None),
 }
 
 #: The sites every input of :data:`GRID` goes to, in the order of its columns.
@@ -201,14 +261,56 @@ ROWS = [
 ]
 
 ROWS += [
-    (kernel, input_id, iso, NO)
+    (kernel, input_id, iso, expectation)
     for kernel in (
         "is_product_vector", "schmidt_coefficients", "is_entangled_measurement",
-        "is_product_operator", "realign",
+        "is_product_operator", "realign", "Construction.verify",
     )
-    for input_id, iso in (
-        ("str", "swapped"), ("none", None), ("cells", ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for input_id, iso, expectation in (
+        ("str", "swapped", NO),
+        ("none", None, NO),
+        ("cells", ((0, 0), (0, 1), (1, 0), (1, 1)), NO),
+        ("int-huge", HUGE, TOO_LARGE),
     )
+]
+
+#: the message of a refused name, which lists the names there are
+_UNKNOWN = "unknown {} <int too large to print>; choose from {}"
+
+# Inputs that are, or hold, an int too long to print, at each site that
+# shows its refused input whole: the site still names its field.
+ROWS += [
+    ("JointTable", "int-huge", (HUGE, 0, 0, 0),
+     (TableError, "entry A1B1 = <int too large to print> is not a probability")),
+    ("JointTable", "str-entry", ("1", 0, 0, 0),
+     (TableError, "entry A1B1 = '1' is not a probability")),
+    ("JointTable", "nan-entry", (1, 0, 0, math.nan),
+     (TableError, "entry A2B2 = nan is not a probability")),
+    ("JointTable-pair", "int-huge", HUGE, TOO_LARGE),
+    ("JointTable-pair", "str", "AB", NO),
+    ("Experiment", "int-huge", (HUGE,) + VESSELS_DATA.tables[1:], TOO_LARGE),
+    ("Experiment", "str", "AB", (TableError, "tables: expected JointTables, got ('A', 'B')")),
+    ("Experiment-sides", "int-huge", ((HUGE, "A'"), ("B", "B'")), (
+        TableError, "sides.first: expected two string labels: <tuple too large to print>"
+    )),
+    ("Experiment.table", "int-huge", HUGE,
+     (ValueError, "<int too large to print> is not a setting pair")),
+    ("SettingPair.from_label", "int-huge", HUGE,
+     (ValueError, "unknown setting pair <int too large to print>")),
+    ("normalize-pair", "int-huge", HUGE, TOO_LARGE),
+    ("Measurement-pair", "int-huge", HUGE, TOO_LARGE),
+    ("final_states", "int-huge", (HUGE,) + CANONICAL_BASIS[1:], TOO_LARGE),
+    ("StateVector", "int-huge", HUGE, TOO_LARGE),
+    ("realign-m", "int-huge", HUGE, TOO_LARGE),
+    ("verify_model-state", "int-huge", HUGE, TOO_LARGE),
+    ("Construction-measurements", "int-huge", HUGE, TOO_LARGE),
+    ("Construction-operators-mapping", "int-huge", HUGE, TOO_LARGE),
+    ("Construction.verify-data", "int-huge", HUGE, TOO_LARGE),
+    ("basis_from_probabilities-state", "int-huge", HUGE, TOO_LARGE),
+    ("get_fixture", "int-huge", HUGE,
+     (ValueError, _UNKNOWN.format("fixture", ["animal-acts", "vessels", "vessels-separated"]))),
+    ("get_model", "int-huge", HUGE,
+     (ValueError, _UNKNOWN.format("model", ["animal-acts", "vessels", "vessels-alt"]))),
 ]
 
 

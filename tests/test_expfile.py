@@ -1,9 +1,11 @@
 import json
 import os
 import stat
+import sys
 
 import pytest
 
+from bellbox import expfile
 from bellbox.expfile import ExperimentFileError, read_experiment, write_experiment
 from bellbox.models import animal_acts_data, vessels_data
 from bellbox.tables import PAIR_ORDER, Experiment, SettingPair, TableError
@@ -191,6 +193,18 @@ def test_first_duplicate_in_document_order_is_reported(tmp_path):
     with pytest.raises(ExperimentFileError, match=r": tables\.AB: duplicate key 'A2B2'$"):
         read_experiment(path)
 
+
+
+def test_repeated_key_is_found_below_the_recursion_limit():
+    # from Python 3.12 the parser nests deeper than Python recursion allows,
+    # so the walk that names a repeated key must not recurse
+    inner = expfile._parse('{"k": 1, "k": 2}')[0]
+    node = inner
+    for _ in range(3 * sys.getrecursionlimit()):
+        node = [node]
+    document = {"first": [{"fine": {}}], "deep": node, "last": inner}
+    where = "deep" + ".0" * (3 * sys.getrecursionlimit())
+    assert expfile._find_repeated(document, "document") == (where, "k")
 
 @pytest.mark.parametrize(
     "raw",

@@ -669,13 +669,13 @@ class TestVerifyModel:
 
     def test_failing_verification_reported(self):
         # vessel construction against the separated data cannot match
-        from bellbox.models import vessels_separated_data
+        from bellbox.models import get_fixture
 
         model = vessels_model(0.0, 0.0)
         verdict = verify_model(
             model.state,
             model.measurements,
-            vessels_separated_data().experiment,
+            get_fixture("vessels-separated").experiment,
             tol=1e-9,
         )
         assert not verdict.passed

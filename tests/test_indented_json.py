@@ -28,7 +28,6 @@ from bellbox.models import (
     get_fixture,
     get_model,
     vessels_data,
-    vessels_separated_data,
 )
 from bellbox.report import build_report, render_machine, render_text
 from bellbox.tables import DEFAULT_SIDES, PAIR_ORDER, Experiment, JointTable
@@ -149,7 +148,9 @@ EXTREMAL_BOX = _experiment(
 ODD_SIDES = (('café "one"', "back\\slash"), ("tab\there", "☃\nnewline"))
 
 EXPERIMENTS = {
-    "kolmogorovian": (vessels_separated_data().experiment, ZooClass.KOLMOGOROVIAN_COMPATIBLE),
+    "kolmogorovian": (
+        get_fixture("vessels-separated").experiment, ZooClass.KOLMOGOROVIAN_COMPATIBLE
+    ),
     "nonlocal-box": (NONLOCAL_BOX, ZooClass.NONLOCAL_BOX),
     "non-marginal-1": (animal_acts_data().experiment, ZooClass.NONLOCAL_NON_MARGINAL_BOX_1),
     "non-marginal-2": (vessels_data().experiment, ZooClass.NONLOCAL_NON_MARGINAL_BOX_2),

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +22,13 @@ from bellbox.models import (
     animal_acts_data,
     animal_acts_model,
     basis_from_probabilities,
+    REGISTRY,
+    Fixture,
     get_fixture,
     get_model,
     vessels_alternative_model,
     vessels_data,
     vessels_model,
-    vessels_separated_data,
 )
 from bellbox.tables import (
     PAIR_ORDER,
@@ -38,6 +41,47 @@ from bellbox.tables import (
 from oracles import random_table, random_unit_cvector
 
 SQ = math.sqrt(0.5)
+
+#: What each built-in dataset gives, as the paper states it: the CHSH
+#: reference combination of its tables, within a tolerance, and its Zoo
+#: class.  The animal-acts figure is that of the quoted three-decimal
+#: tables; the paper's own 2.4197 is checked in tests/test_acceptance.py.
+#: bellbox computes both, so only the tests state them.
+BUILT_IN_RESULTS = {
+    "animal-acts": (2.421656, 1e-6, ZooClass.NONLOCAL_NON_MARGINAL_BOX_1),
+    "vessels": (4.0, 1e-12, ZooClass.NONLOCAL_NON_MARGINAL_BOX_2),
+    "vessels-separated": (2.0, 1e-12, ZooClass.KOLMOGOROVIAN_COMPATIBLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_RESULTS))
+def test_built_in_dataset_gives_the_stated_results(name):
+    value, tol, zoo_class = BUILT_IN_RESULTS[name]
+    experiment = get_fixture(name).experiment
+    assert abs(chsh(experiment).reference_combination - value) <= tol
+    assert classify(experiment) is zoo_class
+
+
+class TestRegistry:
+    def test_every_dataset_has_stated_results(self):
+        datasets = {name for name, (rows, _) in REGISTRY.items() if rows is not None}
+        assert datasets == set(BUILT_IN_RESULTS)
+
+    def test_entries_are_tables_and_builders(self):
+        assert Fixture._fields == ("name", "experiment")
+        for name, entry in REGISTRY.items():
+            assert type(entry) is tuple and len(entry) == 2, name
+            rows, builder = entry
+            assert rows is None or len(rows) == len(PAIR_ORDER), name
+            assert builder is None or callable(builder), name
+
+    def test_models_imports_nothing_from_bell(self):
+        source = Path(models.__file__).read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module not in ("bell", "bellbox.bell"), ast.unparse(node)
+            elif isinstance(node, ast.Import):
+                assert "bellbox.bell" not in [alias.name for alias in node.names]
 
 
 class TestAnimalActsData:
@@ -57,14 +101,12 @@ class TestAnimalActsData:
             assert abs(expectation_value(e.table(pair)) - want) <= 2e-3
 
     def test_classification(self):
-        fixture = animal_acts_data()
-        assert fixture.expected_class is ZooClass.NONLOCAL_NON_MARGINAL_BOX_1
-        assert classify(fixture.experiment) is fixture.expected_class
+        zoo_class = BUILT_IN_RESULTS["animal-acts"][2]
+        assert classify(animal_acts_data().experiment) is zoo_class
 
     def test_chsh_matches_expected(self):
-        fixture = animal_acts_data()
-        value = chsh(fixture.experiment).reference_combination
-        assert abs(value - fixture.expected_chsh) <= fixture.chsh_tol
+        value, tol, _ = BUILT_IN_RESULTS["animal-acts"]
+        assert abs(chsh(animal_acts_data().experiment).reference_combination - value) <= tol
 
 
 class TestAnimalActsModel:
@@ -113,33 +155,28 @@ class TestVesselsData:
 
 class TestVesselsSeparatedData:
     def test_chsh_exactly_two(self):
-        fixture = vessels_separated_data()
+        fixture = get_fixture("vessels-separated")
         assert chsh(fixture.experiment).reference_combination == 2.0
 
     def test_classification(self):
         assert (
-            classify(vessels_separated_data().experiment)
+            classify(get_fixture("vessels-separated").experiment)
             is ZooClass.KOLMOGOROVIAN_COMPATIBLE
         )
 
     def test_every_table_factorization_testable(self):
-        e = vessels_separated_data().experiment
+        e = get_fixture("vessels-separated").experiment
         verdicts = {pair: factorization_test(e.table(pair)) for pair in PAIR_ORDER}
         assert not verdicts[SettingPair.AB].factorizable
         assert verdicts[SettingPair.AB_PRIME].factorizable
 
     def test_flip_choice_configurable(self):
         # A'B is the correlation that flips
-        fixture = vessels_separated_data()
+        fixture = get_fixture("vessels-separated")
         table = fixture.experiment.table(SettingPair.A_PRIME_B)
         assert expectation_value(table) == -1.0
         assert expectation_value(fixture.experiment.table(SettingPair.AB_PRIME)) == 1.0
         assert chsh(fixture.experiment).reference_combination == 2.0
-
-    def test_unknown_flip_rejected(self):
-        # the dataset takes no choice of flip
-        with pytest.raises(TypeError):
-            vessels_separated_data("A'B'")
 
 
 class TestVesselsModel:
@@ -392,7 +429,7 @@ class TestVerifyOnce:
             "vessels-alt": lambda: vessels_alternative_model(-1.2, 0.4),
             "animal-acts": animal_acts_model,
         }
-        datasets = (vessels_data().experiment, vessels_separated_data().experiment)
+        datasets = (vessels_data().experiment, get_fixture("vessels-separated").experiment)
         for name, build in builders.items():
             model = build()
             for data in datasets:

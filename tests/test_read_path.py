@@ -28,7 +28,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellbox.bell import CHSH_TERM_ORDER, AmbiguousClassError, ZooClass, chsh, decide_class
+from bellbox.bell import CHSH_TERM_ORDER, AmbiguousClassError, chsh, decide_class
+from bellbox.cli import main
 from bellbox.expfile import ExperimentFileError, read_experiment, write_experiment
 from bellbox.tables import (
     PAIR_ORDER,
@@ -42,20 +43,14 @@ from bellbox.tables import (
 )
 
 from oracles import (
+    BOX_FAMILIES,
+    box_rows,
     reference_chsh,
     reference_marginal_law_report,
     reference_normalize,
     reference_read_experiment,
     reference_text_mode_read_experiment,
 )
-
-#: Which setting of each side a pair uses: (first index, second index).
-SETTINGS = {
-    SettingPair.AB: (0, 0),
-    SettingPair.AB_PRIME: (0, 1),
-    SettingPair.A_PRIME_B: (1, 0),
-    SettingPair.A_PRIME_B_PRIME: (1, 1),
-}
 
 SIDE_LABELS = (
     (["A", "A'"], ["B", "B'"]),
@@ -64,56 +59,15 @@ SIDE_LABELS = (
     (["left-0", "left-1"], ["right-0", "right-1"]),
 )
 
-#: Each family and the class its unrounded documents land in (None: the
-#: unresolved extremal box).
-FAMILIES = {
-    "local": ZooClass.KOLMOGOROVIAN_COMPATIBLE,
-    "quantum": ZooClass.NONLOCAL_BOX,
-    "signalling-quantum": ZooClass.NONLOCAL_NON_MARGINAL_BOX_1,
-    "signalling-strong": ZooClass.NONLOCAL_NON_MARGINAL_BOX_2,
-    "extremal": None,
-}
-
 SEEDS = range(6)
 
 SETTING_LABELS = [pair.label for pair in PAIR_ORDER]
 
 
-def _table(e: float, ma: float, mb: float) -> list[float]:
-    """Cells 11, 12, 21, 22 with correlation ``e`` and biases ``ma``, ``mb``
-    (non-negative when |e| + |ma| + |mb| <= 1)."""
-    return [
-        (1 + ma + mb + e) / 4,
-        (1 + ma - mb - e) / 4,
-        (1 - ma + mb - e) / 4,
-        (1 - ma - mb + e) / 4,
-    ]
-
-
-def _rows(rng: random.Random, family: str) -> dict[SettingPair, list[float]]:
-    if family == "local":
-        first = [rng.uniform(-0.25, 0.25) for _ in range(2)]
-        second = [rng.uniform(-0.25, 0.25) for _ in range(2)]
-        return {
-            pair: _table(rng.uniform(-0.45, 0.45), first[x], second[y])
-            for pair, (x, y) in SETTINGS.items()
-        }
-    strong = family in ("signalling-strong", "extremal")
-    v = rng.uniform(0.8, 0.95) if strong else rng.uniform(0.75, 0.98) / math.sqrt(2)
-    signalling = family.startswith("signalling")
-    rows = {}
-    for pair in PAIR_ORDER:
-        e = -v if pair is SettingPair.AB else v
-        room = (1 - v) / 2
-        ma, mb = (rng.uniform(-room, room), rng.uniform(-room, room)) if signalling else (0.0, 0.0)
-        rows[pair] = _table(e, ma, mb)
-    return rows
-
-
 def document(rng: random.Random, family: str, rounded: bool) -> dict:
     """A seeded experiment document of ``family``; rounded rows are quoted
     to three decimals, as published tables are, and miss 1 by a little."""
-    rows = _rows(rng, family)
+    rows = box_rows(rng, family)
     first, second = rng.choice(SIDE_LABELS)
     return {
         "version": 1,
@@ -131,7 +85,7 @@ def document(rng: random.Random, family: str, rounded: bool) -> dict:
 
 
 def _documents():
-    for family in FAMILIES:
+    for family in BOX_FAMILIES:
         for seed in SEEDS:
             for rounded in (False, True):
                 rng = random.Random(f"read-path/{family}/{seed}/{rounded}")
@@ -200,7 +154,7 @@ def test_families_land_in_their_classes():
             for pair in PAIR_ORDER
         }
         experiment = Experiment([rows[p] for p in PAIR_ORDER])
-        expected = FAMILIES[doc["metadata"]["family"]]
+        expected = BOX_FAMILIES[doc["metadata"]["family"]]
         s = chsh(experiment).max_abs_over_variants
         holds = marginal_law_report(experiment).holds
         if expected is None:
@@ -407,6 +361,66 @@ def test_version_is_the_integer_1(corpus_dir, version):
     assert ours == ("raised", ExperimentFileError, f"{path}: version: expected 1, got {version!r}")
     assert _outcome(reference_read_experiment, path) == ours
     assert _outcome(reference_text_mode_read_experiment, path) == ours
+
+
+# ---------------------------------------------------------------------------
+# documents the JSON parser cannot finish: one error that names the place
+# ---------------------------------------------------------------------------
+
+#: The digits of an integer longer than ``int`` converts (4300 digits, the
+#: interpreter's default limit).
+_LONG = "9" * 5000
+
+
+def _unparsable(version=1, first=None, metadata=None) -> str:
+    """The quantum-0 document as text, with ``version``, the first side's
+    first label and the metadata entries given as raw JSON text."""
+    doc = copy.deepcopy(DOCUMENTS["quantum-0"])
+    doc["version"] = "@version@"
+    if first is not None:
+        doc["sides"]["first"][0] = "@first@"
+    doc["metadata"].update(dict.fromkeys(metadata or (), "@"))
+    text = json.dumps(doc, indent=2).replace('"@version@"', str(version))
+    text = text.replace('"@first@"', first or "")
+    for key, raw in (metadata or {}).items():
+        text = text.replace(f'"{key}": "@"', f'"{key}": {raw}')
+    return text
+
+
+#: Each document, with the place and problem its error names: an integer
+#: too long for ``int`` in the version, a side label or the metadata (after
+#: digit strings and a long decimal that read as they are), and an array
+#: nested deeper than the parser recurses.
+UNPARSABLE = {
+    "long-version": (
+        _unparsable(version=_LONG),
+        "line 2, column 14: integer of 5000 digits, more than the 4300 that can be read",
+    ),
+    "long-side-label": (
+        _unparsable(first=_LONG),
+        "line 5, column 7: integer of 5000 digits, more than the 4300 that can be read",
+    ),
+    "long-negative-metadata": (
+        _unparsable(metadata={"label": f'"{_LONG}"', "ratio": f"{_LONG}.5e3", "n": f"-{_LONG}"}),
+        "line 50, column 10: integer of 5000 digits, more than the 4300 that can be read",
+    ),
+    "deep-metadata": (
+        _unparsable(metadata={"nested": "[" * 100_000 + "]" * 100_000}),
+        "document: arrays or objects nested too deeply to read",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNPARSABLE)
+def test_unparsable_document_is_refused_naming_its_place(tmp_path, capsys, name):
+    text, problem = UNPARSABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    assert _outcome(read_experiment, path) == ("raised", ExperimentFileError, f"{path}: {problem}")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {problem}\n"
 
 
 # ---------------------------------------------------------------------------

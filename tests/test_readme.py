@@ -54,6 +54,6 @@ def test_public_names():
         "inner", "is_entangled_measurement", "is_product_operator", "is_product_vector",
         "marginal_law_report", "marginals", "normalize", "operator_from_measurement",
         "quadratic_form", "realign", "schmidt_coefficients", "verify_model",
-        "vessels_alternative_model", "vessels_data", "vessels_model", "vessels_separated_data",
+        "vessels_alternative_model", "vessels_data", "vessels_model",
     ]
     assert all(hasattr(bellbox, name) for name in bellbox.__all__)
